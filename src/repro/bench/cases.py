@@ -58,11 +58,6 @@ class BenchCase:
     min_valid_fraction: float = 1.0
     #: Included in ``repro-bid bench --quick`` (CI smoke).
     quick: bool = False
-    #: Compiled-tier pairing: time the numba kernel against the event
-    #: kernel (instead of event vs. oracle).  Skipped — reported under
-    #: the payload's ``"skipped"`` list — when the compiled tier is
-    #: unavailable.
-    compiled: bool = False
 
     def build(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Materialize ``(prices, bids, n_valid)`` for this case.
@@ -129,9 +124,6 @@ class MapReduceBenchCase:
     slot_length: float
     seed: int
     quick: bool = False
-    #: Compiled-tier pairing: time ``kernel="compiled"`` against the
-    #: event grid kernel.  Skipped when the compiled tier is unavailable.
-    compiled: bool = False
 
     @property
     def n_plans(self) -> int:
@@ -385,15 +377,7 @@ class ExtensionBenchCase:
     n_fractions: int = 0
     #: π̄ for the portfolio's on-demand leg (``portfolio_grid`` only).
     ondemand_price: float = 0.0
-    #: Trace rows in the price matrix (``persistence_grid`` only).
-    n_rows: int = 0
-    #: Task specs in the DAG grid (``dag_grid`` only).
-    n_jobs: int = 0
     quick: bool = False
-    #: Compiled-tier pairing: time the ``_EXT_KERNELS_COMPILED``
-    #: counterpart against the vectorized kernel.  Skipped when the
-    #: compiled tier is unavailable.
-    compiled: bool = False
 
     # Aliases so extension rows report through the same schema fields
     # (traces × slots × bids) as the sweep cases: one distribution, its
@@ -413,10 +397,6 @@ class ExtensionBenchCase:
     @property
     def lane_slots(self) -> int:
         """Work volume: grid cells evaluated."""
-        if self.kernel == "persistence_grid":
-            return self.n_rows * self.n_candidates
-        if self.kernel == "dag_grid":
-            return self.n_jobs * self.n_candidates
         return max(1, self.n_fractions) * self.n_candidates
 
     @property
@@ -429,19 +409,6 @@ class ExtensionBenchCase:
         from ..core.types import JobSpec
 
         rng = np.random.default_rng(self.seed)
-        if self.kernel == "persistence_grid":
-            floor = rng.uniform(0.02, 0.05, size=(self.n_rows, 1))
-            matrix = floor + rng.exponential(
-                0.01, size=(self.n_rows, self.n_obs)
-            )
-            spikes = rng.random((self.n_rows, self.n_obs)) < 0.08
-            matrix = np.where(
-                spikes,
-                matrix + rng.uniform(0.2, 1.0, size=matrix.shape),
-                matrix,
-            )
-            bids = np.linspace(0.02, 0.6, self.n_candidates)
-            return (matrix, bids), {}
         floor = rng.uniform(0.02, 0.05)
         prices = floor + rng.exponential(0.01, size=self.n_obs)
         spikes = rng.random(self.n_obs) < 0.08
@@ -449,22 +416,12 @@ class ExtensionBenchCase:
             spikes, prices + rng.uniform(0.2, 1.0, size=self.n_obs), prices
         )
         dist = EmpiricalPriceDistribution(np.ascontiguousarray(prices))
-        candidates = np.linspace(dist.lower, dist.upper, self.n_candidates)
-        if self.kernel == "dag_grid":
-            jobs = [
-                JobSpec(
-                    execution_time=self.work * (1.0 + 0.1 * i),
-                    recovery_time=self.recovery_time,
-                    slot_length=self.slot_length,
-                )
-                for i in range(self.n_jobs)
-            ]
-            return (dist, candidates, jobs), {}
         job = JobSpec(
             execution_time=self.work,
             recovery_time=self.recovery_time,
             slot_length=self.slot_length,
         )
+        candidates = np.linspace(dist.lower, dist.upper, self.n_candidates)
         if self.kernel == "portfolio_grid":
             return (dist, candidates, job), {
                 "ondemand_price": self.ondemand_price,
@@ -615,73 +572,6 @@ CASES: List[AnyBenchCase] = [
         slot_length=1.0 / 12.0,
         ondemand_price=1.5,
         seed=20150828,
-    ),
-    # Compiled-tier acceptance workloads: the numba kernels against
-    # their event-lane counterparts on the same seeded inputs.  These
-    # cases are skipped (reported under the payload's "skipped" list)
-    # when numba is missing or NUMBA_DISABLE_JIT is set, so numba-free
-    # snapshots stay honest.
-    BenchCase(
-        name="compiled_persistent_large",
-        strategy=Strategy.PERSISTENT,
-        n_traces=24,
-        n_slots=1000,
-        n_bids=256,
-        work=10.0,
-        recovery_time=0.25,
-        slot_length=1.0,
-        seed=20150817,
-        compiled=True,
-    ),
-    BenchCase(
-        name="compiled_onetime_large",
-        strategy=Strategy.ONE_TIME,
-        n_traces=24,
-        n_slots=1000,
-        n_bids=256,
-        work=4.0,
-        recovery_time=0.0,
-        slot_length=1.0,
-        seed=20150818,
-        compiled=True,
-    ),
-    MapReduceBenchCase(
-        name="compiled_mapreduce_grid",
-        n_pairs=3,
-        n_starts=2,
-        n_slots=600,
-        n_master_bids=6,
-        n_slave_bids=4,
-        num_slaves=4,
-        work=1.2,
-        recovery_time=0.05,
-        slot_length=1.0 / 12.0,
-        seed=20150822,
-        compiled=True,
-    ),
-    ExtensionBenchCase(
-        name="compiled_ext_persistence",
-        kernel="persistence_grid",
-        n_obs=2000,
-        n_candidates=128,
-        n_rows=32,
-        work=8.0,
-        recovery_time=0.25,
-        slot_length=1.0 / 12.0,
-        seed=20150829,
-        compiled=True,
-    ),
-    ExtensionBenchCase(
-        name="compiled_ext_dag",
-        kernel="dag_grid",
-        n_obs=8000,
-        n_candidates=2048,
-        n_jobs=32,
-        work=8.0,
-        recovery_time=0.25,
-        slot_length=1.0 / 12.0,
-        seed=20150830,
-        compiled=True,
     ),
     # The straggler-re-dispatch acceptance workload: a pinned stalled
     # worker, gated on how much speculation recovers of the stall.

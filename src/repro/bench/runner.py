@@ -1,20 +1,13 @@
 """Benchmark execution: both kernel families, verified and timed.
 
-Every case runs the dense reference kernel and the contender kernel on
-identical inputs, takes the best wall time over ``repeats`` runs
+Every case runs the dense reference kernel and the event-driven kernel
+on identical inputs, takes the best wall time over ``repeats`` runs
 (minimum — the least-noise estimator for CPU-bound work) after one
-untimed warmup (so JIT compilation and cache effects never pollute the
+untimed warmup (so cache and allocator effects never pollute the
 timings), and checks the two result sets are bitwise identical before
 any number is reported.  A benchmark that reports a speedup for a
 kernel producing different answers would be worse than no benchmark at
 all.
-
-The contender lane follows ``REPRO_SWEEP_KERNEL`` (or the explicit
-``kernel`` argument / ``repro-bid bench --kernel`` flag): ``event``
-(default), ``reference``, or ``compiled``.  Cases flagged
-``compiled=True`` always pit the compiled kernel against the event
-lane and are skipped — reported under the payload's ``"skipped"`` list
-— when the compiled tier is unavailable.
 
 The report schema is versioned (``repro.bench/1``) so future trajectory
 points remain machine-readable next to this one.
@@ -39,18 +32,14 @@ from typing import (
 
 import numpy as np
 
-from ..constants import SWEEP_KERNEL, SWEEP_KERNEL_MODES
 from ..core.types import Strategy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..mapreduce.grid import MapReduceGridResult
-from ..sweep import compiled as _compiled
 from ..sweep.kernels import (
     onetime_sweep_kernel,
-    onetime_sweep_kernel_compiled,
     onetime_sweep_kernel_reference,
     persistent_sweep_kernel,
-    persistent_sweep_kernel_compiled,
     persistent_sweep_kernel_reference,
 )
 from .cases import (
@@ -88,21 +77,11 @@ def _machine_info() -> Dict[str, object]:
     }
 
 
-#: Sweep kernels per (strategy, lane) — the same functions the engine's
-#: ``_select_kernels`` dispatches.
-_SWEEP_LANES: Dict[Tuple[Strategy, str], Callable[..., dict]] = {
-    (Strategy.ONE_TIME, "reference"): onetime_sweep_kernel_reference,
-    (Strategy.ONE_TIME, "event"): onetime_sweep_kernel,
-    (Strategy.ONE_TIME, "compiled"): onetime_sweep_kernel_compiled,
-    (Strategy.PERSISTENT, "reference"): persistent_sweep_kernel_reference,
-    (Strategy.PERSISTENT, "event"): persistent_sweep_kernel,
-    (Strategy.PERSISTENT, "compiled"): persistent_sweep_kernel_compiled,
-}
-
-
-def _kernel_callable(case: BenchCase, lane: str) -> Callable[..., dict]:
-    kernel = _SWEEP_LANES[(case.strategy, lane)]
+def _kernel_callable(case: BenchCase, reference: bool) -> Callable[..., dict]:
     if case.strategy is Strategy.ONE_TIME:
+        kernel = (
+            onetime_sweep_kernel_reference if reference else onetime_sweep_kernel
+        )
 
         def run(
             prices: np.ndarray,
@@ -118,6 +97,11 @@ def _kernel_callable(case: BenchCase, lane: str) -> Callable[..., dict]:
             )
 
     else:
+        kernel = (
+            persistent_sweep_kernel_reference
+            if reference
+            else persistent_sweep_kernel
+        )
 
         def run(
             prices: np.ndarray,
@@ -142,8 +126,7 @@ def _time_kernel(
     """Best-of-``repeats`` wall time, per-repeat times, last result.
 
     One untimed warmup run precedes the timed loop so one-time costs —
-    numba JIT compilation above all, but also allocator and cache
-    warm-up — never land in a timed repeat.
+    allocator and cache warm-up — never land in a timed repeat.
     """
     run(*inputs)
     times: List[float] = []
@@ -159,16 +142,12 @@ def _bitwise_equal(a: dict, b: dict) -> bool:
     return all(np.array_equal(a[f], b[f], equal_nan=True) for f in _FIELDS)
 
 
-#: MapReduce ``run_plan_grid`` kernel key per contender lane.
-_MR_LANES = {"reference": "scalar", "event": "event", "compiled": "compiled"}
-
-
 def _mapreduce_callable(
-    case: MapReduceBenchCase, lane: str
+    case: MapReduceBenchCase, reference: bool
 ) -> "Callable[..., MapReduceGridResult]":
     from ..mapreduce.grid import run_plan_grid
 
-    kernel = _MR_LANES[lane]
+    kernel = "scalar" if reference else "event"
 
     def run(
         plans: Any,
@@ -195,31 +174,18 @@ def _grids_bitwise_equal(
 
 
 def _extension_callable(
-    case: ExtensionBenchCase, lane: str
+    case: ExtensionBenchCase, reference: bool
 ) -> Callable[..., dict]:
     """One lane of an extension-kernel case.
 
-    Resolves the (kernel, oracle) pair from the same dispatch tables
+    Resolves the (kernel, oracle) pair from the same dispatch table
     ``select_ext_kernel`` serves, so the bench times exactly what
-    production dispatches.  The ``compiled`` lane uses the
-    ``extension_kernel_compiled`` counterpart when one exists and the
-    vectorized kernel otherwise, mirroring production dispatch.
+    production dispatches.
     """
-    from ..extensions.kernels import (
-        extension_kernel_compiled,
-        extension_kernel_pair,
-    )
+    from ..extensions.kernels import extension_kernel_pair
 
     kernel, oracle = extension_kernel_pair(case.kernel)
-    if lane == "reference":
-        fn = oracle
-    elif lane == "compiled":
-        try:
-            fn = extension_kernel_compiled(case.kernel)
-        except KeyError:
-            fn = kernel
-    else:
-        fn = kernel
+    fn = oracle if reference else kernel
 
     def run(args: tuple, kwargs: dict) -> dict:
         return fn(*args, **kwargs)
@@ -382,33 +348,12 @@ def _throughput(
     }
 
 
-def _resolve_lane(kernel: Optional[str]) -> str:
-    """The contender lane: the explicit ``kernel`` argument (validated
-    against the registry's modes) or ``REPRO_SWEEP_KERNEL``.  An
-    unavailable compiled tier degrades to ``event`` with the same
-    one-time warning the engines emit."""
-    if kernel is not None:
-        if kernel not in SWEEP_KERNEL_MODES:
-            allowed = ", ".join(repr(m) for m in SWEEP_KERNEL_MODES)
-            raise ValueError(
-                f"bench kernel must be one of {allowed}, got {kernel!r}"
-            )
-        lane = kernel
-    else:
-        lane = SWEEP_KERNEL.get()
-    if lane == "compiled" and not _compiled.COMPILED_AVAILABLE:
-        _compiled.warn_compiled_fallback()
-        lane = "event"
-    return lane
-
-
 def run_benchmarks(
     *,
     cases: Optional[Sequence[str]] = None,
     quick: bool = False,
     pattern: Optional[str] = None,
     repeats: Optional[int] = None,
-    kernel: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
     """Run the benchmark suite and return the ``repro.bench/1`` report.
@@ -416,61 +361,40 @@ def run_benchmarks(
     ``repeats`` defaults to 5 in quick mode (the cases are small and
     min-of-many suppresses CI timer noise) and 3 otherwise.  ``pattern``
     selects cases by glob (see :func:`~repro.bench.cases.select_cases`).
-    ``kernel`` picks the contender lane (``event``, ``reference`` or
-    ``compiled``); ``None`` follows ``REPRO_SWEEP_KERNEL``.  Cases
-    flagged ``compiled=True`` always time compiled-vs-event and are
-    skipped (listed under ``"skipped"``) when the compiled tier is
-    unavailable.  ``progress`` (if given) receives one line per
-    finished case.
+    ``progress`` (if given) receives one line per finished case.
     """
     selected = select_cases(cases, quick=quick, pattern=pattern)
     if repeats is None:
         repeats = 5 if quick else 3
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
-    lane = _resolve_lane(kernel)
 
     rows: List[Dict[str, object]] = []
-    skipped: List[str] = []
     for case in selected:
-        case_compiled = bool(getattr(case, "compiled", False))
-        if case_compiled and not _compiled.COMPILED_AVAILABLE:
-            skipped.append(case.name)
-            if progress is not None:
-                progress(
-                    f"{case.name}: skipped "
-                    f"({_compiled.COMPILED_UNAVAILABLE_REASON})"
-                )
-            continue
-        if case_compiled:
-            ref_lane, con_lane = "event", "compiled"
-        else:
-            ref_lane, con_lane = "reference", lane
         inputs = case.build()
         lane_slots = case.lane_slots
         serve_extras: Optional[Dict[str, float]] = None
         if isinstance(case, MapReduceBenchCase):
             ref_wall, ref_times, ref_result = _time_kernel(
-                _mapreduce_callable(case, ref_lane), inputs, repeats
+                _mapreduce_callable(case, reference=True), inputs, repeats
             )
             event_wall, event_times, event_result = _time_kernel(
-                _mapreduce_callable(case, con_lane), inputs, repeats
+                _mapreduce_callable(case, reference=False), inputs, repeats
             )
             equal = _grids_bitwise_equal(ref_result, event_result)
             events = event_result.slots_simulated
         elif isinstance(case, ExtensionBenchCase):
             ref_wall, ref_times, ref_result = _time_kernel(
-                _extension_callable(case, ref_lane), inputs, repeats
+                _extension_callable(case, reference=True), inputs, repeats
             )
             event_wall, event_times, event_result = _time_kernel(
-                _extension_callable(case, con_lane), inputs, repeats
+                _extension_callable(case, reference=False), inputs, repeats
             )
             equal = _ext_bitwise_equal(ref_result, event_result)
             events = lane_slots
         elif isinstance(case, SchedulerBenchCase):
             # Reference = wait the pinned straggler out; event = the
             # same fault schedule with speculative re-dispatch on.
-            con_lane = "event"
             ref_wall, ref_times, ref_result = _time_kernel(
                 _scheduler_callable(case, speculate=False), inputs, repeats
             )
@@ -480,7 +404,6 @@ def run_benchmarks(
             equal = ref_result.results == event_result.results
             events = event_result.stats.dispatched
         elif isinstance(case, ServeBenchCase):
-            con_lane = "event"
             history, grid, requests = inputs
             ref_wall, ref_times, ref_result = _time_kernel(
                 _serve_reference_callable(case), inputs, repeats
@@ -501,17 +424,17 @@ def run_benchmarks(
             }
         else:
             ref_wall, ref_times, ref_result = _time_kernel(
-                _kernel_callable(case, ref_lane), inputs, repeats
+                _kernel_callable(case, reference=True), inputs, repeats
             )
             event_wall, event_times, event_result = _time_kernel(
-                _kernel_callable(case, con_lane), inputs, repeats
+                _kernel_callable(case, reference=False), inputs, repeats
             )
             equal = _bitwise_equal(ref_result, event_result)
             events = int(event_result["slots_simulated"])
         row = {
             "name": case.name,
             "strategy": case.label,
-            "kernel": con_lane,
+            "kernel": "event",
             "n_traces": case.n_traces,
             "n_slots": case.n_slots,
             "n_bids": case.n_bids,
@@ -529,7 +452,7 @@ def run_benchmarks(
         if progress is not None:
             progress(
                 f"{case.name}: ref {ref_wall * 1e3:.1f}ms, "
-                f"{row['kernel']} {event_wall * 1e3:.1f}ms, "
+                f"event {event_wall * 1e3:.1f}ms, "
                 f"speedup {row['speedup']:.2f}x, "
                 f"bitwise={'OK' if equal else 'MISMATCH'}"
             )
@@ -540,5 +463,4 @@ def run_benchmarks(
         "created_unix": time.time(),  # repro: noqa(RB101)
         "machine": _machine_info(),
         "cases": rows,
-        "skipped": skipped,
     }

@@ -12,7 +12,7 @@ RB201     kernel-parity         dispatch-table kernels keep oracle+test+bench
 RB301     env-var-registry      REPRO_* reads go through repro.constants
 RB401     float-equality        exact parity tests; no nonzero float ==
 RB501     shm-lifecycle         shared memory scoped by with / try-finally
-RB601     api-surface           __all__ is real; no strategy string shim
+RB601     api-surface           every __all__ entry is bound
 RB701     fork-safety           no threads/locks/loops in forking modules
 RB702     async-blocking        no blocking calls in async def bodies
 RB703     journal-durability    explicit fsync choice; write paths fsync
@@ -42,7 +42,7 @@ __all__ = ["RULES", "RULE_PACK_VERSION", "default_rules"]
 #: Version tag of the rule pack, mixed into the incremental cache key —
 #: bump whenever any rule's semantics change, so stale cached findings
 #: cannot survive a rule upgrade.
-RULE_PACK_VERSION = "2026.08.0"
+RULE_PACK_VERSION = "2026.10.0"
 
 #: Shipped rule classes, in id order.
 RULES: List[Type[Rule]] = [

@@ -1,81 +1,24 @@
-"""RB601 — the public surface is real and the string shim is dead.
+"""RB601 — the public surface is real.
 
-Two API-surface invariants:
-
-* every name a module exports in ``__all__`` must actually be bound at
-  module level (defined, assigned or imported) — a stale ``__all__``
-  entry turns ``from repro.x import *`` and the API-surface tests into
-  liars;
-* the deprecated strategy string shim
-  (:func:`repro.core.types.normalize_strategy` on raw strings, kept so
-  downstream callers migrate gracefully) must not be used *inside* the
-  package: library code passing ``strategy="persistent"`` would emit
-  the package's own DeprecationWarning — which CI escalates to an
-  error — and dodges the typed :class:`~repro.core.types.Strategy`
-  enum.  ``Strategy("persistent")`` (the enum constructor) is fine.
+Every name a module exports in ``__all__`` must actually be bound at
+module level (defined, assigned or imported) — a stale ``__all__``
+entry turns ``from repro.x import *`` and the API-surface tests into
+liars.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Sequence, Set
+from typing import Set
 
 from ..engine import FileContext, Reporter, Rule
-from ._common import (
-    dotted_name,
-    is_test_path,
-    module_bindings,
-    string_constants,
-)
+from ._common import module_bindings
 
 
 class ApiSurfaceRule(Rule):
     rule_id = "RB601"
     name = "api-surface"
-    description = (
-        "__all__ entries must be bound at module level, and library "
-        "code must not use the deprecated strategy string shim."
-    )
-    node_types = (ast.Call,)
-
-    def visit(
-        self,
-        node: ast.AST,
-        ancestors: Sequence[ast.AST],
-        ctx: FileContext,
-        report: Reporter,
-    ) -> None:
-        assert isinstance(node, ast.Call)
-        if is_test_path(ctx.rel):
-            return
-        for kw in node.keywords:
-            if (
-                kw.arg == "strategy"
-                and isinstance(kw.value, ast.Constant)
-                and isinstance(kw.value.value, str)
-            ):
-                report.at_node(
-                    ctx,
-                    node,
-                    f"string strategy={kw.value.value!r} uses the "
-                    f"deprecated shim inside the package; pass the "
-                    f"Strategy enum",
-                )
-        name = dotted_name(node.func)
-        if (
-            name is not None
-            and name.split(".")[-1] == "normalize_strategy"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            report.at_node(
-                ctx,
-                node,
-                f"normalize_strategy({node.args[0].value!r}) on a string "
-                f"literal inside the package; use the Strategy enum "
-                f"directly",
-            )
+    description = "__all__ entries must be bound at module level."
 
     def finish_file(self, ctx: FileContext, report: Reporter) -> None:
         exported = None
@@ -101,12 +44,6 @@ class ApiSurfaceRule(Rule):
         bound: Set[str] = module_bindings(ctx.tree)
         if "*" in bound:  # star-import module: bindings are not static
             return
-        # A module-level __getattr__ (PEP 562) serves names dynamically —
-        # typically deprecation shims.  Any __all__ entry it mentions as
-        # a string literal counts as bound.
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__getattr__":
-                bound |= string_constants(stmt)
         for name in exported:
             if name not in bound:
                 report.at_node(

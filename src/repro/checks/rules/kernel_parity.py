@@ -14,13 +14,6 @@ registered in those dispatch tables keeps:
   bitwise comparison exercises it on every CI run) and a timing lane in
   ``repro/bench/runner.py``.
 
-The compiled tier (:mod:`repro.sweep.compiled`) is a third dispatch
-family with the same obligations against a different oracle: every
-``*_kernel_compiled`` registered by ``_select_kernels``, the
-``"compiled"`` key of ``_BATCH_KERNELS``, and every entry of
-``_EXT_KERNELS_COMPILED`` must keep a randomized exact-equivalence test
-against its *event-lane* kernel and a ``compiled=True`` bench case.
-
 This rule re-derives the dispatch tables by parsing the ASTs of the
 anchor modules and cross-references ``tests/`` and the bench package —
 deleting a kernel's equivalence test or its bench coverage makes the
@@ -45,16 +38,6 @@ BENCH_RUNNER = "src/repro/bench/runner.py"
 
 #: Names whose presence marks an equivalence test as randomized.
 _RANDOMIZED_MARKERS = {"default_rng", "rng", "given", "random_workload"}
-
-
-def _true_keyword(call: ast.Call, name: str) -> bool:
-    """Whether ``call`` passes ``name=True`` as a literal keyword."""
-    return any(
-        kw.arg == name
-        and isinstance(kw.value, ast.Constant)
-        and kw.value.value is True
-        for kw in call.keywords
-    )
 
 
 class KernelParityRule(Rule):
@@ -245,57 +228,6 @@ class KernelParityRule(Rule):
                     f"{oracle!r}",
                 )
 
-        # Compiled tier: each *_kernel_compiled must wrap a registered
-        # event kernel, prove bitwise equality against it, and carry a
-        # compiled=True bench case for its strategy.
-        compiled = sorted(n for n in table if n.endswith("_kernel_compiled"))
-        compiled_strategies = {
-            kw.value.attr
-            for call in self._bench_case_calls(project).get("BenchCase", [])
-            if _true_keyword(call, "compiled")
-            for kw in call.keywords
-            if kw.arg == "strategy" and isinstance(kw.value, ast.Attribute)
-        }
-        for kernel in compiled:
-            base = kernel[: -len("_compiled")]
-            if base not in table:
-                report.at(
-                    SWEEP_ENGINE,
-                    selector.lineno,
-                    f"compiled kernel {kernel!r} has no event-lane "
-                    f"{base!r} in the dispatch table",
-                )
-            if defined is not None and kernel not in defined:
-                report.at(
-                    SWEEP_ENGINE,
-                    selector.lineno,
-                    f"{kernel!r} is dispatched but not defined in "
-                    f"{SWEEP_KERNELS}",
-                )
-            self._require_equivalence_test(
-                project, report, SWEEP_ENGINE, selector.lineno, kernel, base
-            )
-            if base.startswith("onetime"):
-                required = "ONE_TIME"
-            elif base.startswith("persistent"):
-                required = "PERSISTENT"
-            else:
-                required = None
-            if required is not None and required not in compiled_strategies:
-                report.at(
-                    BENCH_CASES,
-                    1,
-                    f"no BenchCase with compiled=True and strategy="
-                    f"Strategy.{required} in {BENCH_CASES}; compiled "
-                    f"kernel {kernel!r} has no bench coverage",
-                )
-            if runner_ctx is not None and kernel not in runner_refs:
-                report.at(
-                    BENCH_RUNNER,
-                    1,
-                    f"{BENCH_RUNNER} does not time {kernel!r}",
-                )
-
     # -- mapreduce dispatch table --------------------------------------
 
     def _check_mapreduce(self, project: Project, report: Reporter) -> None:
@@ -361,23 +293,12 @@ class KernelParityRule(Rule):
                 oracle,
                 via=("run_plan_grid", key),
             )
-        mr_calls = self._bench_case_calls(project).get("MapReduceBenchCase", [])
-        if not mr_calls:
+        if not self._bench_case_calls(project).get("MapReduceBenchCase"):
             report.at(
                 BENCH_CASES,
                 1,
                 f"no MapReduceBenchCase in {BENCH_CASES}; the plan-grid "
                 f"kernels {', '.join(repr(k) for k, _ in kernels)} have no "
-                f"bench coverage",
-            )
-        elif any(key == "compiled" for _, key in kernels) and not any(
-            _true_keyword(call, "compiled") for call in mr_calls
-        ):
-            report.at(
-                BENCH_CASES,
-                1,
-                f"no MapReduceBenchCase with compiled=True in "
-                f"{BENCH_CASES}; the compiled plan-grid kernel has no "
                 f"bench coverage",
             )
 
@@ -414,7 +335,6 @@ class KernelParityRule(Rule):
             )
             return
         pairs: List[Tuple[int, str, str]] = []
-        fast_by_key: Dict[str, str] = {}
         for key, value in zip(table_node.value.keys, table_node.value.values):
             if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
                 continue
@@ -431,7 +351,6 @@ class KernelParityRule(Rule):
                 )
                 continue
             pairs.append((value.lineno, value.elts[0].id, value.elts[1].id))
-            fast_by_key[key.value] = value.elts[0].id
         if not pairs:
             report.at(
                 EXT_KERNELS, table_node.lineno, "_EXT_KERNELS registers no kernels"
@@ -457,8 +376,7 @@ class KernelParityRule(Rule):
             self._require_equivalence_test(
                 project, report, EXT_KERNELS, lineno, kernel, oracle
             )
-        ext_calls = self._bench_case_calls(project).get("ExtensionBenchCase", [])
-        if not ext_calls:
+        if not self._bench_case_calls(project).get("ExtensionBenchCase"):
             report.at(
                 BENCH_CASES,
                 1,
@@ -466,124 +384,12 @@ class KernelParityRule(Rule):
                 f"kernels have no bench coverage",
             )
         runner_ctx = project.file(BENCH_RUNNER)
-        runner_refs = (
-            referenced_names(runner_ctx.tree) if runner_ctx is not None else set()
-        )
-        if runner_ctx is not None and "extension_kernel_pair" not in runner_refs:
+        if runner_ctx is not None and "extension_kernel_pair" not in (
+            referenced_names(runner_ctx.tree)
+        ):
             report.at(
                 BENCH_RUNNER,
                 1,
                 f"{BENCH_RUNNER} does not time the extension kernels "
                 f"(no extension_kernel_pair reference)",
-            )
-        self._check_extensions_compiled(
-            project, report, ctx, fast_by_key, defined, ext_calls, runner_refs,
-            runner_ctx is not None,
-        )
-
-    def _check_extensions_compiled(
-        self,
-        project: Project,
-        report: Reporter,
-        ctx: "object",
-        fast_by_key: Dict[str, str],
-        defined: Set[str],
-        ext_calls: List[ast.Call],
-        runner_refs: Set[str],
-        have_runner: bool,
-    ) -> None:
-        """The ``_EXT_KERNELS_COMPILED`` table: keys must be dispatch
-        keys, values ``{event_kernel}_compiled`` names with a randomized
-        equivalence test against the event kernel and a ``compiled=True``
-        bench case."""
-        tree = ctx.tree  # type: ignore[attr-defined]
-        comp_node: Optional[Union[ast.Assign, ast.AnnAssign]] = None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "_EXT_KERNELS_COMPILED"
-                for t in node.targets
-            ):
-                comp_node = node
-                break
-            if (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.target.id == "_EXT_KERNELS_COMPILED"
-                and node.value is not None
-            ):
-                comp_node = node
-                break
-        if comp_node is None or not isinstance(comp_node.value, ast.Dict):
-            report.at(
-                EXT_KERNELS,
-                1,
-                "_EXT_KERNELS_COMPILED dispatch dict not found; the "
-                "compiled extension switch must stay statically analyzable",
-            )
-            return
-        entries: List[Tuple[int, str, str]] = []
-        for key, value in zip(comp_node.value.keys, comp_node.value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                continue
-            if not isinstance(value, ast.Name):
-                report.at(
-                    EXT_KERNELS,
-                    value.lineno,
-                    f"_EXT_KERNELS_COMPILED entry {key.value!r} must be a "
-                    f"plain kernel name",
-                )
-                continue
-            entries.append((value.lineno, key.value, value.id))
-        for lineno, key, kernel in sorted(entries):
-            fast = fast_by_key.get(key)
-            if fast is None:
-                report.at(
-                    EXT_KERNELS,
-                    lineno,
-                    f"_EXT_KERNELS_COMPILED key {key!r} is not an "
-                    f"_EXT_KERNELS dispatch key",
-                )
-                continue
-            if kernel != f"{fast}_compiled":
-                report.at(
-                    EXT_KERNELS,
-                    lineno,
-                    f"compiled counterpart for {key!r} must be named "
-                    f"{fast + '_compiled'!r}, got {kernel!r}",
-                )
-            if kernel not in defined:
-                report.at(
-                    EXT_KERNELS,
-                    lineno,
-                    f"{kernel!r} is dispatched but not defined in "
-                    f"{EXT_KERNELS}",
-                )
-            self._require_equivalence_test(
-                project, report, EXT_KERNELS, lineno, kernel, fast
-            )
-            if not any(
-                _true_keyword(call, "compiled")
-                and any(
-                    kw.arg == "kernel"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value == key
-                    for kw in call.keywords
-                )
-                for call in ext_calls
-            ):
-                report.at(
-                    BENCH_CASES,
-                    1,
-                    f"no ExtensionBenchCase with kernel={key!r} and "
-                    f"compiled=True in {BENCH_CASES}; {kernel!r} has no "
-                    f"bench coverage",
-                )
-        if entries and have_runner and (
-            "extension_kernel_compiled" not in runner_refs
-        ):
-            report.at(
-                BENCH_RUNNER,
-                1,
-                f"{BENCH_RUNNER} does not time the compiled extension "
-                f"kernels (no extension_kernel_compiled reference)",
             )

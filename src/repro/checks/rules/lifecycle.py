@@ -29,8 +29,7 @@ from ..engine import FileContext, Reporter, Rule
 from ._common import dotted_name, is_test_path, referenced_names, walk_contains
 
 #: Journal class whose ``fsync`` default is the *non*-durable one; call
-#: sites must choose explicitly.  (``ShardJournal`` defaults to durable,
-#: so inheriting its default is already a safe choice.)
+#: sites must choose explicitly.
 _EXPLICIT_FSYNC_CLASSES = {"SweepJournal"}
 
 #: Fully-qualified resource factories (matched on the whole dotted name).

@@ -18,9 +18,9 @@ Subcommands
                per-fault-class cost/completion degradation; with
                ``--kill-workers``, crash/stall the scheduler's worker
                pool instead and check results stay bitwise identical.
-``bench``      Benchmark the sweep kernels (event vs reference vs
-               compiled), emit a ``BENCH_*.json`` trajectory point, and
-               gate regressions against a committed baseline.
+``bench``      Benchmark the sweep kernels (event vs reference), emit a
+               ``BENCH_*.json`` trajectory point, and gate regressions
+               against a committed baseline.
 ``check``      Run the repo-aware static-analysis suite (``repro.checks``:
                determinism, kernel-oracle parity, numeric hygiene).
 ``catalog``    List the built-in instance types.
@@ -351,16 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--repeats", type=_positive_int, default=None,
         help="timed repetitions per kernel (best-of; default 3, quick 5)",
-    )
-    p_bench.add_argument(
-        "--kernel", default=None, metavar="MODE",
-        help="contender lane: event, reference or compiled (default: "
-        "REPRO_SWEEP_KERNEL)",
-    )
-    p_bench.add_argument(
-        "--min-speedup", type=_positive_float, default=None,
-        dest="min_speedup", metavar="FLOAT",
-        help="fail unless every timed case reaches this speedup floor",
     )
     p_bench.add_argument(
         "--out", default=None, metavar="PATH",
@@ -952,22 +942,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.cases and args.filter_pattern:
         raise ReproError("--cases and --filter are mutually exclusive")
 
-    kernel = None
-    if args.kernel is not None:
-        from .constants import SWEEP_KERNEL, EnvVarError
-
-        try:
-            kernel = SWEEP_KERNEL.parse(args.kernel)
-        except EnvVarError as exc:
-            raise ReproError(str(exc)) from exc
-
     try:
         report = run_benchmarks(
             cases=args.cases,
             quick=args.quick,
             pattern=args.filter_pattern,
             repeats=args.repeats,
-            kernel=kernel,
             progress=print,
         )
     except ValueError as exc:
@@ -987,28 +967,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-
-    if args.min_speedup is not None:
-        if not report["cases"]:
-            print(
-                "error: --min-speedup given but no case was timed "
-                f"(skipped: {', '.join(report['skipped']) or 'none'})",
-                file=sys.stderr,
-            )
-            return 1
-        slow = [
-            f"{row['name']} ({row['speedup']:.2f}x)"
-            for row in report["cases"]
-            if row["speedup"] < args.min_speedup
-        ]
-        if slow:
-            print(
-                f"error: speedup below the {args.min_speedup:g}x floor "
-                f"on: {', '.join(slow)}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"all cases at or above the {args.min_speedup:g}x floor")
 
     if args.baseline:
         with open(args.baseline) as fh:

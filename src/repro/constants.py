@@ -101,7 +101,7 @@ class EnvVar(Generic[_T]):
 
 
 #: Kernel families accepted by :data:`SWEEP_KERNEL`.
-SWEEP_KERNEL_MODES: Tuple[str, ...] = ("event", "reference", "compiled")
+SWEEP_KERNEL_MODES: Tuple[str, ...] = ("event", "reference")
 
 
 def _parse_sweep_kernel(raw: str) -> str:
@@ -130,17 +130,14 @@ def _parse_dist_cache_size(raw: str) -> int:
 
 #: Kernel-family switch shared by the sweep engine and the MapReduce
 #: plan grid: ``event`` (default) runs the event-driven kernels,
-#: ``reference`` the dense/scalar oracle paths, ``compiled`` the
-#: numba-JIT tier (falls back to ``event`` when numba is unavailable).
+#: ``reference`` the dense/scalar oracle paths.
 SWEEP_KERNEL: "EnvVar[str]" = EnvVar(
     name="REPRO_SWEEP_KERNEL",
     default="event",
     parse=_parse_sweep_kernel,
     description="Kernel family used by repro.sweep and repro.mapreduce "
-    "grids: the event-driven kernels, the dense/scalar oracle path, or "
-    "the numba-compiled tier (requires the [compiled] extra; degrades "
-    "to the event kernels with a one-time warning otherwise).",
-    values="event (default) | reference | compiled",
+    "grids: the event-driven kernels or the dense/scalar oracle path.",
+    values="event (default) | reference",
 )
 
 #: Bound on the process-local memoized-distribution cache

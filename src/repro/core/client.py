@@ -11,9 +11,8 @@ standard backtest protocol used by every Section 7 experiment.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from ..errors import InfeasibleBidError, MarketError
 from ..market.price_sources import TracePriceSource
@@ -35,14 +34,6 @@ from .types import (
 )
 
 __all__ = ["BidRunReport", "BiddingClient"]
-
-_KWARGS_DEPRECATION = (
-    "passing a JobSpec with keyword arguments to BiddingClient.decide is "
-    "deprecated; wrap the job in a repro.core.types.DecisionRequest "
-    "(decide(DecisionRequest(job=job, strategy=...)) returns a "
-    "DecisionResponse)"
-)
-
 
 @dataclass(frozen=True)
 class BidRunReport:
@@ -78,14 +69,7 @@ class BiddingClient:
         self.distribution: EmpiricalPriceDistribution = cached_distribution(history)
 
     # -- bid calculation (Figure 1's "bid calculator") --------------------
-    def decide(
-        self,
-        request: Union[DecisionRequest, JobSpec],
-        *,
-        strategy: "Strategy | str | None" = None,
-        percentile: Optional[float] = None,
-        degrade: Optional[bool] = None,
-    ) -> Union[DecisionResponse, BidDecision]:
+    def decide(self, request: DecisionRequest) -> DecisionResponse:
         """Compute a bid for a :class:`~repro.core.types.DecisionRequest`.
 
         The request names the job, the strategy (``Strategy.ONE_TIME``,
@@ -104,25 +88,16 @@ class BiddingClient:
         degradation reason instead of raising
         :class:`~repro.errors.InfeasibleBidError`.
 
-        Passing a bare :class:`~repro.core.types.JobSpec` with keyword
-        arguments is the deprecated pre-serving form; it returns the bare
-        ``BidDecision`` and emits a :class:`DeprecationWarning`.
+        Anything other than a :class:`~repro.core.types.DecisionRequest`
+        raises :class:`TypeError`.
         """
-        if isinstance(request, DecisionRequest):
-            if strategy is not None or percentile is not None or degrade is not None:
-                raise TypeError(
-                    "decide() accepts either a DecisionRequest or the "
-                    "deprecated JobSpec-with-keywords form, not both"
-                )
-            return self.respond(request)
-        warnings.warn(_KWARGS_DEPRECATION, DeprecationWarning, stacklevel=2)
-        legacy = DecisionRequest(
-            job=request,
-            strategy=Strategy.PERSISTENT if strategy is None else strategy,
-            percentile=90.0 if percentile is None else percentile,
-            degrade=bool(degrade),
-        )
-        return self.respond(legacy).decision
+        if not isinstance(request, DecisionRequest):
+            raise TypeError(
+                f"decide() takes a DecisionRequest, got "
+                f"{type(request).__name__}; wrap the job as "
+                f"DecisionRequest(job=job, strategy=...)"
+            )
+        return self.respond(request)
 
     def respond(self, request: DecisionRequest) -> DecisionResponse:
         """The single decision path shared by the library and ``repro.serve``.
@@ -264,7 +239,7 @@ class BiddingClient:
         job: JobSpec,
         future: SpotPriceHistory,
         *,
-        strategy: "Strategy | str" = Strategy.PERSISTENT,
+        strategy: Strategy = Strategy.PERSISTENT,
         percentile: float = 90.0,
         start_slot: int = 0,
         fallback_ondemand: bool = False,

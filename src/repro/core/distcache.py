@@ -8,8 +8,7 @@ content-addressed LRU cache keyed on the price bytes, so identical
 histories share one distribution object.
 
 The cache lives in ``repro.core`` (it depends only on the distribution
-types) so both the batch layers (:mod:`repro.sweep`, which re-exports it
-as ``repro.sweep.cache`` for backward compatibility) and the serving
+types) so both the batch layers (:mod:`repro.sweep`) and the serving
 layer (:mod:`repro.serve`) share one seam — and so
 :class:`~repro.core.client.BiddingClient` can import it at module scope
 instead of deferring the import to every construction.

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 from ..constants import DEFAULT_SLOT_HOURS
 from ..errors import PlanError
@@ -42,9 +41,7 @@ class Strategy(enum.Enum):
     mixes on-demand and persistent spot capacity, minimizing expected
     cost under a variance cap; ``CVAR`` picks the bid minimizing the
     conditional value-at-risk of the realized sweep cost across
-    historical windows.  The enum replaces the legacy string-typed
-    ``strategy=`` arguments; strings are still accepted through
-    :func:`normalize_strategy` with a :class:`DeprecationWarning`.
+    historical windows.
     """
 
     ONE_TIME = "one-time"
@@ -72,37 +69,14 @@ class Strategy(enum.Enum):
         return self in (Strategy.ONE_TIME, Strategy.PERSISTENT)
 
 
-#: Legacy spelling drift observed in the wild for the string API.
-_STRATEGY_ALIASES = {
-    "one-time": Strategy.ONE_TIME,
-    "onetime": Strategy.ONE_TIME,
-    "one_time": Strategy.ONE_TIME,
-    "persistent": Strategy.PERSISTENT,
-    "percentile": Strategy.PERCENTILE,
-    "portfolio": Strategy.PORTFOLIO,
-    "cvar": Strategy.CVAR,
-}
+def normalize_strategy(strategy: Strategy) -> Strategy:
+    """Check that a strategy argument is a :class:`Strategy` member.
 
-
-def normalize_strategy(strategy: Union[Strategy, str]) -> Strategy:
-    """Coerce a strategy argument to the :class:`Strategy` enum.
-
-    Enum members pass through untouched.  Legacy strings (including the
-    ``"onetime"``/``"one_time"`` spelling drift) are accepted with a
-    :class:`DeprecationWarning`; anything else raises :class:`ValueError`.
+    Enum members pass through untouched; anything else, strings
+    included, raises :class:`ValueError`.
     """
     if isinstance(strategy, Strategy):
         return strategy
-    if isinstance(strategy, str):
-        resolved = _STRATEGY_ALIASES.get(strategy.strip().lower())
-        if resolved is not None:
-            warnings.warn(
-                f"passing strategy={strategy!r} as a string is deprecated; "
-                f"use repro.Strategy.{resolved.name} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return resolved
     raise ValueError(
         f"unknown strategy {strategy!r}; use Strategy.ONE_TIME, "
         "Strategy.PERSISTENT, Strategy.PERCENTILE, Strategy.PORTFOLIO "
@@ -380,17 +354,14 @@ class DecisionRequest:
     The request form is the canonical way to ask
     :meth:`~repro.core.client.BiddingClient.decide` for a bid — batch
     callers and the :mod:`repro.serve` daemon build the same object, so
-    their answers are comparable artifacts.  The legacy
-    ``decide(job, strategy=..., ...)`` keyword form survives as a
-    deprecated shim that wraps its arguments in one of these.
+    their answers are comparable artifacts.
 
     Parameters
     ----------
     job:
         The :class:`JobSpec` to bid for.
     strategy:
-        The bidding strategy; legacy strings are accepted through
-        :func:`normalize_strategy` (with its :class:`DeprecationWarning`).
+        The bidding strategy, a :class:`Strategy` member.
     percentile:
         Heuristic percentile, only meaningful for
         :attr:`Strategy.PERCENTILE`.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class ExperimentConfig:
     floor_episode_hours: float = 36.0
     tail_episode_hours: float = 2.5
     slot_length: float = DEFAULT_SLOT_HOURS
-    #: Trace-level fan-out for repetition loops routed through
-    #: :func:`repro.sweep.map_traces`; ``None`` runs serially.
-    max_workers: Optional[int] = None
 
     def rng(self, *stream: int) -> np.random.Generator:
         """A reproducible substream for one experiment component."""

@@ -117,13 +117,7 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig7Result:
             starts.append(calm_start_slot(rng, slave_fut))
         # All repetitions go through the batched plan-grid kernel in one
         # call; results are bitwise identical to the per-rep scalar runs.
-        grid = run_plan_grid(
-            plan,
-            master_futs,
-            slave_futs,
-            start_slots=starts,
-            max_workers=config.max_workers,
-        )
+        grid = run_plan_grid(plan, master_futs, slave_futs, start_slots=starts)
         results = grid.results(0)
         times = [r.completion_time for r in results if r.completed]
         costs = [r.total_cost for r in results if r.completed]

@@ -156,13 +156,7 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Table4Result:
             starts.append(calm_start_slot(rng, slave_fut))
         # One batched-kernel call replaces the per-repetition scalar
         # loop; the outputs are bitwise identical.
-        grid = run_plan_grid(
-            plan,
-            master_futs,
-            slave_futs,
-            start_slots=starts,
-            max_workers=config.max_workers,
-        )
+        grid = run_plan_grid(plan, master_futs, slave_futs, start_slots=starts)
         master_costs, slave_costs = [], []
         for result in grid.results(0):
             if result.completed:

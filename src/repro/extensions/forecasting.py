@@ -159,7 +159,7 @@ def forecast_bid(
     history: SpotPriceHistory,
     job: JobSpec,
     *,
-    strategy: "Strategy | str" = Strategy.PERSISTENT,
+    strategy: Strategy = Strategy.PERSISTENT,
     ondemand_price: Optional[float] = None,
 ) -> BidDecision:
     """Bid using a forecaster's predicted distribution.
@@ -184,7 +184,7 @@ def forecast_sweep(
     futures: "object",
     *,
     bids: Optional[Sequence[float]] = None,
-    strategy: "Strategy | str" = Strategy.PERSISTENT,
+    strategy: Strategy = Strategy.PERSISTENT,
     start_slots: "int | Sequence[int]" = 0,
     ondemand_price: Optional[float] = None,
 ):

@@ -12,12 +12,6 @@ on every output array.
 Dispatch is shared with the sweep engine: ``REPRO_SWEEP_KERNEL=event``
 (the default) selects the vectorized kernels, ``reference`` the scalar
 oracles — one knob flips every engine in the repo onto its oracle path.
-``compiled`` upgrades the hottest kernels (``persistence_grid``,
-``dag_grid``) to numba-JIT scalar loops (bitwise-identical to the
-vectorized lane, see :mod:`repro.sweep.compiled`); kernels without a
-compiled counterpart keep their vectorized form, and when the compiled
-tier is unavailable the mode degrades to ``event`` with a one-time
-warning.
 
 The vectorized kernels reach bitwise equality by evaluating the *same*
 float64 operations in the *same* order as the scalar code, elementwise:
@@ -44,8 +38,6 @@ from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.distributions import PriceDistribution
 from ..core.types import JobSpec
 from ..errors import DistributionError, MarketError, PlanError
-from ..sweep import compiled as _compiled
-from ..sweep.compiled import jit_kernel
 
 __all__ = [
     "risk_scan_kernel",
@@ -55,19 +47,16 @@ __all__ = [
     "checkpoint_grid_kernel",
     "checkpoint_grid_kernel_reference",
     "persistence_grid_kernel",
-    "persistence_grid_kernel_compiled",
     "persistence_grid_kernel_reference",
     "block_grid_kernel",
     "block_grid_kernel_reference",
     "collective_slot_kernel",
     "collective_slot_kernel_reference",
     "dag_grid_kernel",
-    "dag_grid_kernel_compiled",
     "dag_grid_kernel_reference",
     "portfolio_grid_kernel",
     "portfolio_grid_kernel_reference",
     "extension_kernel_pair",
-    "extension_kernel_compiled",
     "select_ext_kernel",
 ]
 
@@ -745,104 +734,6 @@ def portfolio_grid_kernel(
 
 
 # ----------------------------------------------------------------------
-# Compiled tier: numba-JIT loops for the hottest extension kernels
-# ----------------------------------------------------------------------
-
-@jit_kernel
-def _persistence_core(
-    matrix: np.ndarray, counts: np.ndarray, bids: np.ndarray
-) -> np.ndarray:
-    """Count-based lag-1 persistence per (trace, bid) cell.
-
-    ``joint / prior`` divides two exact int64 counts, producing the same
-    float64 the vectorized kernel's ``joint / prior_count`` does.
-    """
-    n_traces = matrix.shape[0]
-    n_bids = bids.shape[0]
-    rho = np.empty((n_traces, n_bids))
-    for t in range(n_traces):
-        n = counts[t]
-        for j in range(n_bids):
-            bid = bids[j]
-            prior = 0
-            joint = 0
-            for s in range(n - 1):
-                if matrix[t, s] <= bid:
-                    prior += 1
-                    if matrix[t, s + 1] <= bid:
-                        joint += 1
-            if prior > 0:
-                rho[t, j] = joint / prior
-            else:
-                rho[t, j] = 0.0
-    return rho
-
-
-def persistence_grid_kernel_compiled(
-    prices: np.ndarray,
-    bids: np.ndarray,
-    n_valid: Optional[np.ndarray] = None,
-) -> Dict[str, np.ndarray]:
-    """Compiled persistence grid: a JIT triple loop over (trace, bid,
-    slot) cells, bitwise-identical to :func:`persistence_grid_kernel` —
-    exact integer acceptance counts divide to the same float64."""
-    matrix = np.asarray(prices, dtype=np.float64)
-    counts = _valid_counts(matrix, n_valid)
-    candidates = np.asarray(bids, dtype=np.float64)
-    return {"rho": _persistence_core(matrix, counts, candidates)}
-
-
-@jit_kernel
-def _dag_core(
-    accept: np.ndarray,
-    below: np.ndarray,
-    r_vals: np.ndarray,
-    work_vals: np.ndarray,
-) -> np.ndarray:
-    """Eq. 15 cost per (task, candidate) cell from precomputed candidate
-    moments — the same scalar float chain the vectorized kernel applies
-    elementwise."""
-    n_jobs = r_vals.shape[0]
-    n_cand = accept.shape[0]
-    cost = np.empty((n_jobs, n_cand))
-    for i in range(n_jobs):
-        r = r_vals[i]
-        work = work_vals[i]
-        for j in range(n_cand):
-            a = accept[j]
-            if a <= 0.0:
-                cost[i, j] = np.inf
-                continue
-            denom = 1.0 - r * (1.0 - a)
-            if denom <= 0.0:
-                cost[i, j] = np.inf
-                continue
-            running = work / denom
-            cost[i, j] = running * below[j] / a
-    return cost
-
-
-def dag_grid_kernel_compiled(
-    dist: PriceDistribution,
-    candidates: np.ndarray,
-    jobs: Sequence[JobSpec],
-) -> Dict[str, np.ndarray]:
-    """Compiled eq. 15 grid: the candidate moments stay on the (non-JIT)
-    distribution methods, the per-cell cost chain runs as a JIT loop —
-    bitwise-identical to :func:`dag_grid_kernel`."""
-    prices = np.asarray(candidates, dtype=np.float64)
-    accept = _accept_values(dist, prices)
-    below = _below_values(dist, prices)
-    r_vals = np.empty(len(jobs))
-    work_vals = np.empty(len(jobs))
-    for i, job in enumerate(jobs):
-        _require_progress(job)
-        r_vals[i] = job.recovery_time / job.slot_length
-        work_vals[i] = job.execution_time - job.recovery_time
-    return {"cost": _dag_core(accept, below, r_vals, work_vals)}
-
-
-# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
@@ -862,17 +753,6 @@ _EXT_KERNELS: Dict[str, Tuple[Callable[..., dict], Callable[..., dict]]] = {
 }
 
 
-#: Compiled counterparts for the hottest dispatch keys: key →
-#: ``{event_kernel}_compiled``.  Parsed statically by the RB201
-#: kernel-parity rule — every entry must name an ``_EXT_KERNELS`` key,
-#: keep a randomized equivalence test against the vectorized kernel,
-#: and carry compiled bench coverage.
-_EXT_KERNELS_COMPILED: Dict[str, Callable[..., dict]] = {
-    "persistence_grid": persistence_grid_kernel_compiled,
-    "dag_grid": dag_grid_kernel_compiled,
-}
-
-
 def extension_kernel_pair(
     name: str,
 ) -> Tuple[Callable[..., dict], Callable[..., dict]]:
@@ -881,32 +761,14 @@ def extension_kernel_pair(
     return _EXT_KERNELS[name]
 
 
-def extension_kernel_compiled(name: str) -> Callable[..., dict]:
-    """The compiled counterpart for a dispatch key — ``KeyError`` when
-    the kernel has no compiled tier.  Used by the bench runner to pit
-    the compiled lane against the vectorized kernel."""
-    return _EXT_KERNELS_COMPILED[name]
-
-
 def select_ext_kernel(name: str) -> Callable[..., dict]:
     """The kernel the ``REPRO_SWEEP_KERNEL`` knob selects for ``name``:
     the vectorized kernel under ``event`` (default), the scalar oracle
-    under ``reference``, the numba tier under ``compiled`` — the same
-    switch the sweep and MapReduce engines honor, so one env var flips
-    the whole repo.  Under ``compiled``, kernels without a compiled
-    counterpart keep their vectorized form, and an unavailable compiled
-    tier degrades to the vectorized kernel with a one-time warning."""
+    under ``reference`` — the same switch the sweep and MapReduce
+    engines honor, so one env var flips the whole repo."""
     try:
         mode = SWEEP_KERNEL.get()
     except EnvVarError as exc:
         raise MarketError(str(exc)) from None
     fast, reference = _EXT_KERNELS[name]
-    if mode == "reference":
-        return reference
-    if mode == "compiled":
-        compiled = _EXT_KERNELS_COMPILED.get(name)
-        if compiled is not None:
-            if _compiled.COMPILED_AVAILABLE:
-                return compiled
-            _compiled.warn_compiled_fallback()
-    return fast
+    return reference if mode == "reference" else fast

@@ -41,11 +41,9 @@ from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.types import MapReducePlan
 from ..errors import MarketError, PlanError
 from ..traces.history import SpotPriceHistory
-from ..sweep import compiled as _compiled
 from .kernels import (
     TERMINATION_CODES,
     mapreduce_grid_kernel,
-    mapreduce_grid_kernel_compiled,
     mapreduce_grid_kernel_event,
 )
 from .runner import MapReduceRunResult, TerminationReason, run_plan_on_traces
@@ -59,7 +57,6 @@ __all__ = ["MapReduceGridResult", "run_plan_grid"]
 _BATCH_KERNELS = {
     "dense": mapreduce_grid_kernel,
     "event": mapreduce_grid_kernel_event,
-    "compiled": mapreduce_grid_kernel_compiled,
 }
 
 _CODE_OF = {reason: code for code, reason in enumerate(TERMINATION_CODES)}
@@ -82,7 +79,7 @@ class MapReduceGridResult:
     slave_interruptions: np.ndarray
     master_restarts: np.ndarray
     termination: np.ndarray
-    #: Which kernel actually ran: "scalar", "dense", "event" or "compiled".
+    #: Which kernel actually ran: "scalar", "dense" or "event".
     kernel: str
     #: Dense lane-slots or executed lane-events, per the kernel family.
     slots_simulated: int
@@ -140,31 +137,19 @@ class MapReduceGridResult:
 
 
 def _resolve_kernel(kernel: Optional[str]) -> str:
-    """Kernel key from the explicit argument or ``REPRO_SWEEP_KERNEL``.
-
-    An explicit ``kernel="compiled"`` is honored literally (the compiled
-    kernel runs interpreted without numba — same bits, no speedup);
-    the env-var route degrades to ``event`` with a one-time warning when
-    the compiled tier is unavailable, matching the sweep engine.
-    """
+    """Kernel key from the explicit argument or ``REPRO_SWEEP_KERNEL``."""
     if kernel is not None:
-        if kernel not in ("scalar", "dense", "event", "compiled"):
+        if kernel not in ("scalar", "dense", "event"):
             raise MarketError(
                 f"unknown MapReduce kernel {kernel!r}; "
-                "choose 'scalar', 'dense', 'event' or 'compiled'"
+                "choose 'scalar', 'dense' or 'event'"
             )
         return kernel
     try:
         mode = SWEEP_KERNEL.get()
     except EnvVarError as exc:
         raise MarketError(str(exc)) from None
-    if mode == "reference":
-        return "scalar"
-    if mode == "compiled":
-        if _compiled.COMPILED_AVAILABLE:
-            return "compiled"
-        _compiled.warn_compiled_fallback()
-    return "event"
+    return "event" if mode == "event" else "scalar"
 
 
 def _as_sequence(value: Any, n_runs: int, what: str) -> List:
@@ -242,7 +227,6 @@ def run_plan_grid(
     max_master_restarts: int = 50,
     kernel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
     worker_faults: "Optional[WorkerFaults]" = None,
 ) -> MapReduceGridResult:
@@ -254,11 +238,12 @@ def run_plan_grid(
     are exactly those of :func:`~repro.mapreduce.runner.run_plan_on_traces`
     with the same ``max_slots`` / ``max_master_restarts``.
 
-    ``kernel`` picks "scalar" (the oracle), "dense", "event" or "compiled";
-    ``None`` follows ``REPRO_SWEEP_KERNEL``.  With ``executor="process"``
-    and a batched kernel, lane chunks fan out through the work-stealing
-    scheduler (:func:`repro.scheduler.run_shards`) — dynamic dispatch,
-    straggler speculation, crash respawn — and the two price stacks
+    ``kernel`` picks "scalar" (the oracle), "dense" or "event";
+    ``None`` follows ``REPRO_SWEEP_KERNEL``.  With a batched kernel and
+    ``max_workers > 1``, a ``journal`` or ``worker_faults``, lane chunks
+    fan out through the work-stealing scheduler
+    (:func:`repro.scheduler.run_shards`) — dynamic dispatch, straggler
+    speculation, crash respawn — and the two price stacks
     travel zero-copy via shared memory.  ``journal`` (a path or
     :class:`~repro.resilience.execution.SweepJournal`) makes the fan-out
     crash-consistent: finished chunks are fsync'd to disk and a re-run
@@ -344,13 +329,11 @@ def run_plan_grid(
 
     # Process fan-out is explicit opt-in: the caller asked for it, so
     # honour it even on small grids (tests exercise tiny fan-outs).
-    fan_out = executor == "process" and (
+    fan_out = (
         (max_workers is not None and max_workers > 1)
         or worker_faults is not None
         or journal is not None
     )
-    if worker_faults is not None and executor != "process":
-        raise PlanError("worker_faults requires executor='process'")
     if fan_out:
         raw = _run_fanout(
             m_matrix, m_valid, s_matrix, s_valid, lanes,

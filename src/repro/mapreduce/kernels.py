@@ -47,18 +47,16 @@ Grid-level orchestration (plan/trace normalization, the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MarketError
-from ..sweep.compiled import jit_kernel
 from .runner import TerminationReason
 
 __all__ = [
     "TERMINATION_CODES",
     "mapreduce_grid_kernel",
-    "mapreduce_grid_kernel_compiled",
     "mapreduce_grid_kernel_event",
 ]
 
@@ -640,211 +638,4 @@ def mapreduce_grid_kernel_event(
     out["slave_cost"] = slave_total
     out["slave_interruptions"] = intr_total
     out["slots_simulated"] = events
-    return out
-
-
-@jit_kernel
-def _mapreduce_lane_core(
-    master_prices: np.ndarray,
-    slave_prices: np.ndarray,
-    lane_mrow: np.ndarray,
-    lane_srow: np.ndarray,
-    lane_start: np.ndarray,
-    lane_budget: np.ndarray,
-    lane_master_bid: np.ndarray,
-    lane_slave_bid: np.ndarray,
-    lane_work: np.ndarray,
-    lane_recovery: np.ndarray,
-    slot_len: float,
-    cap_k: int,
-    eps: float,
-    no_slot: int,
-) -> Tuple[
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    int,
-]:
-    """Per-lane scalar replay of :func:`mapreduce_grid_kernel`.
-
-    One lane at a time, each slot executes the dense kernel's exact
-    operation order (master billing/fold, slave knock → recovery → work
-    → billing → completion stamp, restart cap, launch, completion gate),
-    so every float accumulator sees the same IEEE-754 chain.
-    """
-    n_lanes = lane_mrow.shape[0]
-    completed = np.zeros(n_lanes, dtype=np.bool_)
-    ct_out = np.full(n_lanes, np.nan)
-    m_cost = np.zeros(n_lanes)
-    s_cost_out = np.zeros(n_lanes)
-    s_intr_out = np.zeros(n_lanes, dtype=np.int64)
-    restarts = np.zeros(n_lanes, dtype=np.int64)
-    term = np.full(n_lanes, _BUDGET, dtype=np.int8)
-    events = 0
-    for i in range(n_lanes):
-        mrow = lane_mrow[i]
-        srow = lane_srow[i]
-        start = lane_start[i]
-        budget = lane_budget[i]
-        mbid = lane_master_bid[i]
-        sbid = lane_slave_bid[i]
-        s_w = lane_work[i]
-        recovery = lane_recovery[i]
-        m_acc = 0.0
-        m_tot = 0.0
-        m_downs = 0
-        m_run_prev = False
-        submitted = False
-        t_sub = no_slot
-        s_run = False
-        s_pend = 0.0
-        s_cost = 0.0
-        s_intr = 0
-        s_done = False
-        s_ct = 0.0
-        terminated = False
-        for t in range(budget):
-            events += 1
-            mp = master_prices[mrow, start + t]
-            sp = slave_prices[srow, start + t]
-            acc_m = mp <= mbid
-            down = m_run_prev and not acc_m
-            cap = down and m_downs >= cap_k
-            if acc_m:
-                m_acc = m_acc + mp * slot_len
-            if down:
-                m_tot = m_tot + m_acc
-                m_acc = 0.0
-            # Slave step, in the engine's exact operation order.
-            adv = t >= t_sub and not s_done
-            acc_s = adv and sp <= sbid
-            if adv and s_run and not acc_s:
-                s_intr += 1
-                s_pend = recovery
-            if acc_s and s_pend > 0.0:
-                step1 = min(s_pend, slot_len)
-            else:
-                step1 = 0.0
-            s_pend = s_pend - step1
-            budget_h = slot_len - step1
-            used = step1
-            if acc_s and budget_h > 0.0 and s_w > 0.0:
-                step2 = min(s_w, budget_h)
-            else:
-                step2 = 0.0
-            s_w = s_w - step2
-            used = used + step2
-            if acc_s and s_w > eps:
-                used = slot_len
-            if acc_s:
-                s_cost = s_cost + sp * used
-            if acc_s and s_w <= eps:
-                s_ct = t * slot_len + used
-                s_done = True
-            if adv:
-                s_run = acc_s
-            if cap:
-                terminated = True
-                term[i] = _RESTARTS
-                restarts[i] = m_downs
-                break
-            if down:
-                m_downs += 1
-            if not submitted and acc_m:
-                submitted = True
-                t_sub = t + 1
-            if t >= t_sub and s_done and acc_m:
-                terminated = True
-                completed[i] = True
-                term[i] = _COMPLETED
-                restarts[i] = m_downs
-                t_sub_h = t_sub * slot_len
-                ct_out[i] = t_sub_h + (s_ct - t_sub_h)
-                break
-            m_run_prev = acc_m
-        if not terminated:
-            if not submitted:
-                term[i] = _NEVER
-            restarts[i] = m_downs
-        # Final fold of the still-open master attempt, for every lane —
-        # zero for capped and never-launched lanes, exactly the dense
-        # kernel's unconditional post-loop fold.
-        m_tot = m_tot + m_acc
-        m_cost[i] = m_tot
-        s_cost_out[i] = s_cost
-        s_intr_out[i] = s_intr
-    return (
-        completed, ct_out, m_cost, s_cost_out, s_intr_out, restarts, term,
-        events,
-    )
-
-
-def mapreduce_grid_kernel_compiled(
-    master_prices: np.ndarray,
-    slave_prices: np.ndarray,
-    *,
-    lane_mrow: np.ndarray,
-    lane_srow: np.ndarray,
-    lane_start: np.ndarray,
-    lane_budget: np.ndarray,
-    lane_master_bid: np.ndarray,
-    lane_slave_bid: np.ndarray,
-    lane_slaves: np.ndarray,
-    lane_work: np.ndarray,
-    lane_recovery: np.ndarray,
-    slot_length: float,
-    max_master_restarts: int = 50,
-) -> Dict[str, np.ndarray]:
-    """Compiled batched evaluation of a MapReduce plan grid.
-
-    Same contract and bitwise-identical outputs as
-    :func:`mapreduce_grid_kernel` (``slots_simulated`` counts the same
-    dense lane-slots: each lane walks every window slot until it
-    terminates).  The per-lane walk is JIT-compiled when
-    :data:`repro.sweep.compiled.COMPILED_AVAILABLE` is true and runs as
-    interpreted Python (same bits) otherwise.
-    """
-    lanes = (
-        lane_mrow, lane_srow, lane_start, lane_budget, lane_master_bid,
-        lane_slave_bid, lane_slaves, lane_work, lane_recovery,
-    )
-    n_lanes = _check_lanes(
-        master_prices, slave_prices, lanes, slot_length, max_master_restarts
-    )
-    out = _result(n_lanes)
-    if n_lanes == 0:
-        return out
-    from ..sweep.kernels import _EPS
-
-    completed, ct_out, m_cost, s_cost, s_intr, restarts, term, events = (
-        _mapreduce_lane_core(
-            master_prices,
-            slave_prices,
-            lane_mrow.astype(np.int64),
-            lane_srow.astype(np.int64),
-            lane_start.astype(np.int64),
-            lane_budget.astype(np.int64),
-            lane_master_bid.astype(np.float64),
-            lane_slave_bid.astype(np.float64),
-            lane_work.astype(np.float64),
-            lane_recovery.astype(np.float64),
-            float(slot_length),
-            int(max_master_restarts),
-            _EPS,
-            int(_NO_SLOT),
-        )
-    )
-    out["completed"] = completed.astype(bool)
-    out["completion_time"] = ct_out
-    out["master_cost"] = m_cost
-    out["master_restarts"] = restarts
-    out["termination"] = term
-    slave_total, intr_total = _fold_slaves(s_cost, s_intr, lane_slaves)
-    out["slave_cost"] = slave_total
-    out["slave_interruptions"] = intr_total
-    out["slots_simulated"] = int(events)
     return out

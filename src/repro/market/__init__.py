@@ -1,7 +1,5 @@
 """The spot-market simulator substrate (the repo's EC2 stand-in)."""
 
-import warnings
-
 from .billing import BillingPolicy, HourlyBilling, PerSlotBilling
 from .events import EventKind, EventLog, MarketEvent
 from .fastpath import fast_onetime_outcome, fast_persistent_outcome
@@ -23,7 +21,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "MarketEvent",
-    "FastOutcome",
     "OutcomeStats",
     "fast_onetime_outcome",
     "fast_persistent_outcome",
@@ -38,14 +35,3 @@ __all__ = [
     "SpotMarket",
 ]
 
-
-def __getattr__(name: str):
-    if name == "FastOutcome":
-        warnings.warn(
-            "FastOutcome is deprecated; use repro.market.OutcomeStats "
-            "(same fields, shared by all simulation backends)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return OutcomeStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

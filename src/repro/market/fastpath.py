@@ -10,32 +10,17 @@ suite holds the two implementations equal on random traces, which makes
 this module double as an independent oracle for the market engine — and
 for the batched :mod:`repro.sweep` kernels built on top of it.
 
-Both functions return :class:`~repro.market.outcomes.OutcomeStats`; the
-old ``FastOutcome`` name is a deprecated alias for it.
+Both functions return :class:`~repro.market.outcomes.OutcomeStats`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from ..errors import MarketError
 from .outcomes import OutcomeStats
 
-__all__ = ["FastOutcome", "fast_onetime_outcome", "fast_persistent_outcome"]
-
-
-def __getattr__(name: str):
-    if name == "FastOutcome":
-        warnings.warn(
-            "FastOutcome is deprecated; use repro.market.OutcomeStats "
-            "(same fields, shared by all simulation backends)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return OutcomeStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["fast_onetime_outcome", "fast_persistent_outcome"]
 
 
 def fast_persistent_outcome(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def run_chaos(
     job: JobSpec,
     *,
     ondemand_price: float,
-    strategy: Union[Strategy, str] = Strategy.PERSISTENT,
+    strategy: Strategy = Strategy.PERSISTENT,
     seed: int = 0,
     intensity: float = 1.0,
     n_starts: int = 8,
@@ -514,7 +514,7 @@ def run_worker_chaos(
     job: JobSpec,
     *,
     ondemand_price: float,
-    strategy: Union[Strategy, str] = Strategy.PERSISTENT,
+    strategy: Strategy = Strategy.PERSISTENT,
     seed: int = 0,
     n_starts: int = 8,
     max_workers: int = 2,

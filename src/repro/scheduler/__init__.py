@@ -5,15 +5,13 @@ The package's single process-fan-out path (ROADMAP item 3):
 persistent worker pool, with worker heartbeats, deadline-based straggler
 speculation (first completion wins), crash detection with automatic
 respawn and shard re-queue, poison-shard quarantine, and fsync'd
-JSON-lines journals unified with
-:class:`~repro.resilience.execution.SweepJournal` resume.
-:func:`repro.sweep.run_sweep` and
-:func:`repro.mapreduce.run_plan_grid` route ``executor="process"``
-execution through here; seeded process-level chaos for it lives in
+JSON-lines :class:`~repro.resilience.execution.SweepJournal` resume.
+:func:`repro.sweep.run_sweep` (``executor="process"``) and
+:func:`repro.mapreduce.run_plan_grid` route process fan-out through
+here; seeded process-level chaos for it lives in
 :class:`repro.resilience.faults.WorkerFaults`.
 """
 
-from .journal import ShardJournal
 from .pool import run_shards
 from .types import SchedulerResult, SchedulerStats, Shard
 
@@ -21,6 +19,5 @@ __all__ = [
     "SchedulerResult",
     "SchedulerStats",
     "Shard",
-    "ShardJournal",
     "run_shards",
 ]

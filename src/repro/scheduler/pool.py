@@ -26,8 +26,9 @@ forced by a failure mode the static pool could not survive:
   wedging the pool.  Every failure retires its incarnation, so the
   failure count is a distinct-incarnation count by construction.
 * **Crash-consistent journals.**  Completed shards append to an fsync'd
-  JSON-lines :class:`~repro.scheduler.journal.ShardJournal`; a SIGKILLed
-  driver re-run loads it and recomputes only unfinished shards.
+  JSON-lines :class:`~repro.resilience.execution.SweepJournal`; a re-run
+  after the coordinator is SIGKILLed loads it and recomputes only
+  unfinished shards.
 
 Results are assembled by shard index, never by completion order, so for
 a pure shard function the output is bitwise identical to a serial run
@@ -63,7 +64,6 @@ from ..constants import (
 )
 from ..errors import SweepExecutionError
 from ..resilience.execution import ItemFailure, SweepJournal
-from .journal import ShardJournal
 from .types import SchedulerResult, SchedulerStats, Shard
 from .worker import worker_main
 
@@ -563,7 +563,7 @@ def run_shards(
         )
 
     if journal is not None and not isinstance(journal, SweepJournal):
-        journal = ShardJournal(journal, signature=signature)
+        journal = SweepJournal(journal, signature=signature, fsync=True)
 
     results: List[Optional[Any]] = [None] * n
     reused: List[int] = []

@@ -10,40 +10,24 @@ This package is the scaling substrate over the scalar
   ``concurrent.futures`` fan-out.
 * :mod:`repro.sweep.report` — :class:`SweepReport` per-cell arrays plus
   :class:`SweepCounters` (slots simulated, kernel seconds, cache hits).
-* :mod:`repro.sweep.cache` — memoized ``EmpiricalPriceDistribution``
-  construction shared by the client and CLI layers.
 """
 
-from .cache import (
-    cached_distribution,
-    clear_distribution_cache,
-    distribution_cache_stats,
-)
-from .compiled import COMPILED_AVAILABLE
 from .engine import map_traces, run_sweep
 from .kernels import (
     onetime_sweep_kernel,
-    onetime_sweep_kernel_compiled,
     onetime_sweep_kernel_reference,
     persistent_sweep_kernel,
-    persistent_sweep_kernel_compiled,
     persistent_sweep_kernel_reference,
 )
 from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, StackDescriptor
 
 __all__ = [
-    "COMPILED_AVAILABLE",
-    "cached_distribution",
-    "clear_distribution_cache",
-    "distribution_cache_stats",
     "map_traces",
     "run_sweep",
     "onetime_sweep_kernel",
-    "onetime_sweep_kernel_compiled",
     "onetime_sweep_kernel_reference",
     "persistent_sweep_kernel",
-    "persistent_sweep_kernel_compiled",
     "persistent_sweep_kernel_reference",
     "SharedPriceStack",
     "StackDescriptor",

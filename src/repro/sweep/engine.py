@@ -30,16 +30,13 @@ from typing import (
 import numpy as np
 
 from ..constants import SWEEP_KERNEL, EnvVarError
+from ..core.distcache import distribution_cache_stats
 from ..core.types import JobSpec, Strategy, normalize_strategy
 from ..errors import MarketError
-from . import cache as _cache
-from . import compiled as _compiled
 from .kernels import (
     onetime_sweep_kernel,
-    onetime_sweep_kernel_compiled,
     onetime_sweep_kernel_reference,
     persistent_sweep_kernel,
-    persistent_sweep_kernel_compiled,
     persistent_sweep_kernel_reference,
 )
 from .report import SweepCounters, SweepReport
@@ -221,21 +218,13 @@ def map_traces(
 
 def _select_kernels() -> Tuple[Callable[..., dict], Callable[..., dict]]:
     """Kernel pair chosen by ``REPRO_SWEEP_KERNEL`` (``event`` default,
-    ``reference`` for the dense oracle path, ``compiled`` for the
-    numba-JIT tier).  Read per call — through the
-    :data:`repro.constants.SWEEP_KERNEL` registry entry — so workers
-    which inherit the parent's environment honor the same choice; when
-    the compiled tier is unavailable each process degrades to the event
-    kernels with a one-time warning."""
+    ``reference`` for the dense oracle path).  Read per call — through
+    the :data:`repro.constants.SWEEP_KERNEL` registry entry — so workers
+    which inherit the parent's environment honor the same choice."""
     try:
         mode = SWEEP_KERNEL.get()
     except EnvVarError as exc:
         raise MarketError(str(exc)) from None
-    if mode == "compiled":
-        if _compiled.COMPILED_AVAILABLE:
-            return onetime_sweep_kernel_compiled, persistent_sweep_kernel_compiled
-        _compiled.warn_compiled_fallback()
-        return onetime_sweep_kernel, persistent_sweep_kernel
     if mode == "event":
         return onetime_sweep_kernel, persistent_sweep_kernel
     return onetime_sweep_kernel_reference, persistent_sweep_kernel_reference
@@ -269,7 +258,7 @@ def _run_kernel_chunk(args: Tuple[Any, ...]) -> dict:
     strategy_value, payload, bids, work, recovery_time, slot_length = args
     prices, n_valid = _resolve_payload(payload)
     onetime_kernel, persistent_kernel = _select_kernels()
-    hits0, misses0 = _cache.distribution_cache_stats()
+    hits0, misses0 = distribution_cache_stats()
     if Strategy(strategy_value) is Strategy.ONE_TIME:
         result = onetime_kernel(
             prices, bids, work=work, slot_length=slot_length, n_valid=n_valid
@@ -283,7 +272,7 @@ def _run_kernel_chunk(args: Tuple[Any, ...]) -> dict:
             slot_length=slot_length,
             n_valid=n_valid,
         )
-    hits1, misses1 = _cache.distribution_cache_stats()
+    hits1, misses1 = distribution_cache_stats()
     result["cache_hits"] = hits1 - hits0
     result["cache_misses"] = misses1 - misses0
     return result
@@ -334,7 +323,7 @@ def run_sweep(
     bids: Union[float, Sequence[float], np.ndarray],
     job: JobSpec,
     *,
-    strategy: Union[Strategy, str] = Strategy.PERSISTENT,
+    strategy: Strategy = Strategy.PERSISTENT,
     start_slots: Union[int, Sequence[int]] = 0,
     pair_bids: bool = False,
     max_workers: Optional[int] = None,
@@ -440,7 +429,7 @@ def run_sweep(
         kernel_bids = bid_values
 
     recovery = job.recovery_time if strategy is Strategy.PERSISTENT else 0.0
-    hits0, misses0 = _cache.distribution_cache_stats()
+    hits0, misses0 = distribution_cache_stats()
     n_cols = 1 if pair_bids else int(kernel_bids.shape[-1])
 
     if worker_faults is not None and executor != "process":
@@ -609,7 +598,7 @@ def run_sweep(
         key: np.concatenate([r[key] for r in results], axis=0) for key in _FIELDS
     }
     slots = int(sum(r["slots_simulated"] for r in results))
-    hits1, misses1 = _cache.distribution_cache_stats()
+    hits1, misses1 = distribution_cache_stats()
     # In-process chunks already moved the parent counters; process-pool
     # chunks report their own worker-local deltas (journal-reused items
     # excluded — their recorded deltas were spent in an earlier run).

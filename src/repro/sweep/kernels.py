@@ -327,13 +327,8 @@ def onetime_sweep_kernel_reference(
 
 
 # The fast event-driven kernels live in repro.sweep.events and are the
-# public default under the historical names; the numba-JIT tier lives in
-# repro.sweep.compiled.  Imported at the bottom so events.py and
-# compiled.py can import _prepare/_EPS from this module without a cycle.
-from .compiled import (  # noqa: E402  (deliberate bottom import)
-    onetime_sweep_kernel_compiled,
-    persistent_sweep_kernel_compiled,
-)
+# public default under the historical names.  Imported at the bottom so
+# events.py can import _prepare/_EPS from this module without a cycle.
 from .events import (  # noqa: E402  (deliberate bottom import)
     onetime_sweep_kernel,
     persistent_sweep_kernel,

@@ -50,7 +50,6 @@ MODULES = [
     "repro.market.fastpath",
     "repro.market.outcomes",
     "repro.market.price_sources",
-    "repro.sweep.cache",
     "repro.sweep.engine",
     "repro.sweep.kernels",
     "repro.sweep.report",

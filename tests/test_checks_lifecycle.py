@@ -75,18 +75,6 @@ class TestJournalDurabilityRB703:
         result = check(tmp_path, {"src/m.py": source}, JournalDurabilityRule)
         assert result.findings == ()
 
-    def test_shardjournal_default_is_clean(self, tmp_path):
-        # ShardJournal's default is the durable one; inheriting it is
-        # already safe.
-        source = """\
-            from repro.scheduler.journal import ShardJournal
-
-            def make(path):
-                return ShardJournal(path)
-        """
-        result = check(tmp_path, {"src/m.py": source}, JournalDurabilityRule)
-        assert result.findings == ()
-
     def test_journal_write_path_without_fsync_flagged(self, tmp_path):
         source = """\
             import json

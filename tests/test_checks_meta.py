@@ -32,7 +32,6 @@ PARITY_FILES = (
     "tests/test_sweep_kernels_equivalence.py",
     "tests/test_mr_kernels.py",
     "tests/test_ext_kernels.py",
-    "tests/test_compiled_kernels.py",
 )
 
 in_repo_checkout = pytest.mark.skipif(
@@ -119,34 +118,6 @@ class TestParityRuleGuardsRealAnchors:
             "risk_scan_kernel_reference" in m and "not defined" in m
             for m in messages
         )
-
-    def test_deleting_compiled_equivalence_test_fails(self, tmp_path):
-        result = self.copy_tree(
-            tmp_path, drop=("tests/test_compiled_kernels.py",)
-        )
-        messages = [f.message for f in result.findings]
-        assert any(
-            "no equivalence test" in m
-            and "persistent_sweep_kernel_compiled" in m
-            for m in messages
-        )
-        assert any("mapreduce_grid_kernel_compiled" in m for m in messages)
-        assert any("persistence_grid_kernel_compiled" in m for m in messages)
-        assert any("dag_grid_kernel_compiled" in m for m in messages)
-
-    def test_deleting_compiled_extension_table_fails(self, tmp_path):
-        result = self.copy_tree(tmp_path)
-        assert result.findings == ()
-        path = tmp_path / "src/repro/extensions/kernels.py"
-        source = path.read_text()
-        path.write_text(
-            source.replace("_EXT_KERNELS_COMPILED", "_EXT_KERNELS_SHADOW")
-        )
-        result = run_checks(
-            [tmp_path / "src"], rules=[KernelParityRule()], root=tmp_path
-        )
-        messages = [f.message for f in result.findings]
-        assert any("_EXT_KERNELS_COMPILED" in m for m in messages)
 
     def test_deleting_bench_cases_fails(self, tmp_path):
         result = self.copy_tree(tmp_path, drop=("src/repro/bench/cases.py",))

@@ -506,63 +506,12 @@ class TestApiSurfaceRB601:
         result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
         assert result.findings == ()
 
-    def test_module_getattr_shim_counts_as_bound(self, tmp_path):
-        source = """\
-            __all__ = ['NewName', 'OldName']
-
-            class NewName:
-                pass
-
-            def __getattr__(name):
-                if name == 'OldName':
-                    return NewName
-                raise AttributeError(name)
-        """
-        result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
-        assert result.findings == ()
-
     def test_star_import_module_skipped(self, tmp_path):
         source = "from os.path import *\n\n__all__ = ['anything']\n"
         result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
         assert result.findings == ()
 
-    def test_string_strategy_kwarg_flagged(self, tmp_path):
-        source = "def f(run):\n    return run(strategy='persistent')\n"
-        result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
-        assert rule_ids(result) == ["RB601"]
-
-    def test_enum_strategy_kwarg_clean(self, tmp_path):
-        source = """\
-            from repro.core.types import Strategy
-
-            def f(run):
-                return run(strategy=Strategy.PERSISTENT)
-        """
-        result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
-        assert result.findings == ()
-
-    def test_normalize_strategy_on_literal_flagged(self, tmp_path):
-        source = (
-            "from repro.core.types import normalize_strategy\n"
-            "s = normalize_strategy('persistent')\n"
-        )
-        result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
-        assert rule_ids(result) == ["RB601"]
-
-    def test_tests_may_use_string_shim(self, tmp_path):
-        source = "def test_f(run):\n    run(strategy='persistent')\n"
-        result = check(
-            tmp_path,
-            {"tests/test_m.py": source},
-            ApiSurfaceRule,
-            scan=("tests",),
-        )
-        assert result.findings == ()
-
     def test_noqa_suppresses(self, tmp_path):
-        source = (
-            "def f(run):\n"
-            "    return run(strategy='persistent')  # repro: noqa(RB601)\n"
-        )
+        source = "__all__ = ['ghost']  # repro: noqa(RB601)\n"
         result = check(tmp_path, {"src/m.py": source}, ApiSurfaceRule)
         assert result.findings == ()

@@ -204,21 +204,25 @@ class TestDegradedDecision:
 
 
 class TestLegacyKwargsShim:
-    """The pre-request ``decide(job, strategy=...)`` form still works."""
+    """The pre-request ``decide(job, strategy=...)`` form is rejected."""
 
     def test_kwargs_form_warns_and_returns_a_bare_decision(self, client, hour_job):
-        with pytest.warns(DeprecationWarning, match="passing a JobSpec"):
-            legacy = client.decide(hour_job, strategy=Strategy.PERSISTENT)
-        modern = client.decide(
+        # The kwargs form raises instead of warning; the request form is the
+        # one way to a decision, wrapped in a response envelope.
+        with pytest.raises(TypeError):
+            client.decide(hour_job, strategy=Strategy.PERSISTENT)
+        response = client.decide(
             DecisionRequest(job=hour_job, strategy=Strategy.PERSISTENT)
         )
-        # Same numbers, different envelope: the shim unwraps the response.
-        assert legacy == modern.decision
+        assert response.decision.kind is BidKind.PERSISTENT
 
     def test_kwargs_form_defaults_to_persistent(self, client, hour_job):
-        with pytest.warns(DeprecationWarning, match="passing a JobSpec"):
-            legacy = client.decide(hour_job)
-        assert legacy.kind is BidKind.PERSISTENT
+        # A bare job is rejected; a request without a strategy defaults to
+        # persistent, as the kwargs form did.
+        with pytest.raises(TypeError, match="DecisionRequest"):
+            client.decide(hour_job)
+        response = client.decide(DecisionRequest(job=hour_job))
+        assert response.decision.kind is BidKind.PERSISTENT
 
     def test_mixing_request_and_kwargs_is_rejected(self, client, hour_job):
         request = DecisionRequest(job=hour_job, strategy=Strategy.PERSISTENT)

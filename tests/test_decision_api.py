@@ -58,8 +58,10 @@ class TestDecisionRequest:
             DecisionRequest(job=job, percentile=-1.0)
 
     def test_legacy_strategy_strings_warn_and_normalize(self, job):
-        with pytest.warns(DeprecationWarning, match="passing strategy"):
-            request = DecisionRequest(job=job, strategy="persistent")
+        # A string strategy is rejected; only the member is accepted.
+        with pytest.raises(ValueError, match="unknown strategy"):
+            DecisionRequest(job=job, strategy="persistent")
+        request = DecisionRequest(job=job, strategy=Strategy.PERSISTENT)
         assert request.strategy is Strategy.PERSISTENT
 
     def test_unknown_strategy_rejected(self, job):

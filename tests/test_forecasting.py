@@ -99,12 +99,11 @@ class TestForecastBid:
         assert decision.kind is BidKind.ONE_TIME
 
     def test_legacy_string_strategy_still_works(self, r3_history):
+        # The string form is rejected; test_onetime_bid_from_forecast
+        # covers the Strategy.ONE_TIME member that replaces it.
         job = JobSpec(1.0)
-        with pytest.warns(DeprecationWarning):
-            decision = forecast_bid(
-                EwmaForecaster(), r3_history, job, strategy="one-time"
-            )
-        assert decision.kind is BidKind.ONE_TIME
+        with pytest.raises(ValueError, match="unknown strategy"):
+            forecast_bid(EwmaForecaster(), r3_history, job, strategy="one-time")
 
     def test_unknown_strategy(self, r3_history, hour_job):
         with pytest.raises(ValueError):

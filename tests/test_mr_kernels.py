@@ -239,8 +239,9 @@ class TestDispatchAndFanout:
 
     def test_unknown_kernel_raises(self):
         trace = flat_trace(0.1)
-        with pytest.raises(MarketError):
-            run_plan_grid(make_plan(), trace, trace, kernel="gpu")
+        for kernel in ("gpu", "compiled"):
+            with pytest.raises(MarketError):
+                run_plan_grid(make_plan(), trace, trace, kernel=kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_process_fanout_bitwise(self, kernel):
@@ -256,7 +257,6 @@ class TestDispatchAndFanout:
             s,
             start_slots=starts,
             kernel=kernel,
-            executor="process",
             max_workers=2,
         )
         assert_bitwise(ref, fan)

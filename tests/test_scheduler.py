@@ -21,7 +21,7 @@ from repro.core.types import JobSpec, Strategy
 from repro.errors import SweepExecutionError
 from repro.resilience.execution import SweepJournal
 from repro.resilience.faults import BENIGN_WORKER_PLAN, WorkerFaultPlan, WorkerFaults
-from repro.scheduler import ShardJournal, run_shards
+from repro.scheduler import run_shards
 from repro.sweep import run_sweep
 from repro.traces.generator import (
     generate_equilibrium_history,
@@ -230,7 +230,7 @@ class TestShardJournal:
 
     def test_partial_journal_recomputes_only_missing_shards(self, tmp_path):
         path = tmp_path / "shards.jsonl"
-        seeded = ShardJournal(path, signature={"suite": "t"})
+        seeded = SweepJournal(path, signature={"suite": "t"}, fsync=True)
         for i in (0, 2, 5):
             seeded.record(f"shard:{i}", i * i)
         result = run_shards(
@@ -268,6 +268,26 @@ class TestShardJournal:
         resumed = SweepJournal(path).load()
         assert len(resumed) == 8
 
+    def test_path_journal_fsyncs_every_recorded_shard(
+        self, tmp_path, monkeypatch
+    ):
+        # Resuming after a SIGKILL needs each finished shard on disk, not
+        # in the page cache, before the scheduler moves on.
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        result = run_shards(
+            _square, list(range(5)), max_workers=2,
+            journal=tmp_path / "shards.jsonl",
+        )
+        assert result.results == [x * x for x in range(5)]
+        assert len(synced) == 5
+
 
 _DRIVER_SCRIPT = textwrap.dedent(
     """
@@ -301,6 +321,7 @@ class TestDriverCrashResume:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             # Wait until at least two shard records hit the journal
@@ -314,7 +335,9 @@ class TestDriverCrashResume:
                 time.sleep(0.02)
             else:  # pragma: no cover - CI stall guard
                 pytest.fail("journal never accumulated records")
-            os.kill(proc.pid, signal.SIGKILL)
+            # Kill the driver's whole process group so its pool workers
+            # die with it instead of outliving the test as orphans.
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup guard
@@ -426,7 +449,6 @@ class TestEndToEndParity:
             future,
             future,
             start_slots=starts,
-            executor="process",
             max_workers=2,
             worker_faults=WorkerFaults(kill_rate=0.8, stall_rate=0.0, seed=7),
         )

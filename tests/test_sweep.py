@@ -14,12 +14,14 @@ import pytest
 import repro
 from repro import Strategy, normalize_strategy, run_sweep
 from repro.constants import DEFAULT_SLOT_HOURS
-from repro.core.types import JobSpec
-from repro.market.fastpath import fast_onetime_outcome, fast_persistent_outcome
-from repro.sweep import (
+from repro.core.distcache import (
     cached_distribution,
     clear_distribution_cache,
     distribution_cache_stats,
+)
+from repro.core.types import BidKind, JobSpec
+from repro.market.fastpath import fast_onetime_outcome, fast_persistent_outcome
+from repro.sweep import (
     map_traces,
     onetime_sweep_kernel,
     persistent_sweep_kernel,
@@ -239,8 +241,12 @@ class TestStrategyShim:
         ],
     )
     def test_legacy_strings_warn_and_normalize(self, legacy, expected):
-        with pytest.warns(DeprecationWarning):
-            assert normalize_strategy(legacy) is expected
+        # Strings are rejected outright; only the enum member normalizes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                normalize_strategy(legacy)
+            assert normalize_strategy(expected) is expected
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(ValueError):
@@ -257,19 +263,21 @@ class TestStrategyShim:
         job = JobSpec(1.0, 0.1 * TK, slot_length=TK)
         from repro.core.types import DecisionRequest
 
-        enum_decision = client.decide(
+        # Only the request form is accepted; the bare-JobSpec form raises.
+        response = client.decide(
             DecisionRequest(job=job, strategy=Strategy.PERSISTENT)
         )
-        with pytest.warns(DeprecationWarning):
-            legacy_decision = client.decide(job, strategy="persistent")
-        assert enum_decision.price == legacy_decision.price
+        assert response.decision.kind is BidKind.PERSISTENT
+        with pytest.raises(TypeError):
+            client.decide(job, strategy=Strategy.PERSISTENT)
 
-    def test_fast_outcome_alias_warns(self):
+    def test_fast_outcome_alias_removed(self):
+        import repro.market
         import repro.market.fastpath as fastpath
-        from repro.market.outcomes import OutcomeStats
 
-        with pytest.warns(DeprecationWarning):
-            assert fastpath.FastOutcome is OutcomeStats
+        for module in (repro.market, fastpath):
+            with pytest.raises(AttributeError):
+                module.FastOutcome
 
 
 class TestDistributionCache:
@@ -292,7 +300,7 @@ class TestDistributionCache:
         assert misses == 2
 
     def test_cache_size_env_var_bounds_entries(self, monkeypatch):
-        from repro.sweep import cache as cache_mod
+        from repro.core import distcache as cache_mod
 
         clear_distribution_cache()
         monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", "2")
@@ -305,7 +313,7 @@ class TestDistributionCache:
         clear_distribution_cache()
 
     def test_cache_size_env_var_read_lazily(self, monkeypatch):
-        from repro.sweep.cache import _max_entries
+        from repro.core.distcache import _max_entries
 
         monkeypatch.delenv("REPRO_DIST_CACHE_SIZE", raising=False)
         assert _max_entries() == 64
@@ -314,7 +322,7 @@ class TestDistributionCache:
 
     @pytest.mark.parametrize("bad", ["zero", "0", "-3", "1.5"])
     def test_cache_size_env_var_validated(self, monkeypatch, bad):
-        from repro.sweep.cache import _max_entries
+        from repro.core.distcache import _max_entries
 
         monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", bad)
         with pytest.raises(ValueError, match="REPRO_DIST_CACHE_SIZE"):

@@ -183,7 +183,7 @@ class TestCompletionStats:
 
 
 class TestNormalizeStrategy:
-    """The deprecated string shim: mapping, warning, and dedup behavior."""
+    """Enum members pass; anything else, strings included, raises."""
 
     def test_enum_members_pass_through_silently(self):
         with warnings.catch_warnings():
@@ -204,12 +204,13 @@ class TestNormalizeStrategy:
         ],
     )
     def test_legacy_strings_map_and_warn(self, alias, expected):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert normalize_strategy(alias) is expected
-
-    def test_warning_names_the_replacement_member(self):
-        with pytest.warns(DeprecationWarning, match="Strategy.PERSISTENT"):
-            normalize_strategy("persistent")
+        # The former string aliases no longer map: each raises without a
+        # warning, and only the member it used to name is accepted.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unknown strategy"):
+                normalize_strategy(alias)
+            assert normalize_strategy(expected) is expected
 
     def test_unknown_strategy_raises_without_warning(self):
         with warnings.catch_warnings():
@@ -218,24 +219,3 @@ class TestNormalizeStrategy:
                 normalize_strategy("yolo")
             with pytest.raises(ValueError):
                 normalize_strategy(object())
-
-    def test_warns_exactly_once_per_call_site(self):
-        # normalize_strategy points the warning at the *API caller* via
-        # stacklevel, so under the default filter a loop hammering one
-        # call site warns once, while distinct call sites each warn.
-        def site_a():
-            return normalize_strategy("persistent")
-
-        def site_b():
-            return normalize_strategy("one-time")
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(5):
-                site_a()
-            for _ in range(3):
-                site_b()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
