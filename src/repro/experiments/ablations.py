@@ -380,10 +380,10 @@ def billing_comparison(
     from ..market.billing import HourlyBilling
     from ..market.price_sources import TracePriceSource
     from ..market.simulator import SpotMarket
-    from .common import calm_start_slot, history_and_future
+    from .common import calm_start_slot, future_trace, history_trace
 
     itype = get_instance_type(instance_type)
-    history, _ = history_and_future(itype, config, 90)
+    history = history_trace(itype, config, 90)
     dist = history.to_distribution()
     job = JobSpec(execution_time, seconds(30), slot_length=config.slot_length)
     decision = optimal_persistent_bid(dist, job)
@@ -393,7 +393,7 @@ def billing_comparison(
     rng = config.rng(12, 1)
     futures, starts = [], []
     for rep in range(config.repetitions):
-        _, future = history_and_future(itype, config, 91, rep)
+        future = future_trace(itype, config, 91, rep)
         futures.append(future)
         starts.append(calm_start_slot(rng, future))
 
@@ -492,11 +492,11 @@ def forecasting_comparison(
     identical sticky futures.
     """
     from ..extensions.forecasting import Ar1Forecaster, EwmaForecaster, forecast_bid
-    from .common import calm_start_slot, history_and_future
+    from .common import calm_start_slot, future_trace, history_trace
     from ..core.client import BiddingClient
 
     itype = get_instance_type(instance_type)
-    history, _ = history_and_future(itype, config, 92)
+    history = history_trace(itype, config, 92)
     client = BiddingClient(history, ondemand_price=itype.on_demand_price)
     job = JobSpec(1.0, seconds(30), slot_length=config.slot_length)
 
@@ -513,7 +513,7 @@ def forecasting_comparison(
     rng = config.rng(13, 1)
     futures, starts = [], []
     for rep in range(config.repetitions):
-        _, future = history_and_future(itype, config, 93, rep)
+        future = future_trace(itype, config, 93, rep)
         futures.append(future)
         starts.append(calm_start_slot(rng, future))
     report = run_sweep(
@@ -781,11 +781,11 @@ def fleet_allocation(
     diversifying over the three cheapest, on per-type sticky futures.
     """
     from ..core.fleet import plan_fleet, rank_fleet_options, run_fleet
-    from .common import history_and_future
+    from .common import future_trace, history_trace
 
     histories = {}
     for name in candidate_types:
-        history, _ = history_and_future(name, config, 95)
+        history = history_trace(name, config, 95)
         histories[name] = history
     ranking = rank_fleet_options(
         histories, work_vcpu_hours=work_vcpu_hours, recovery_time=seconds(30)
@@ -813,9 +813,7 @@ def fleet_allocation(
         for rep in range(config.repetitions):
             futures = {}
             for alloc in plan.allocations:
-                _, fut = history_and_future(
-                    alloc.instance_type.name, config, 96, rep
-                )
+                fut = future_trace(alloc.instance_type.name, config, 96, rep)
                 futures[alloc.instance_type.name] = fut
             result = run_fleet(plan, futures)
             if result.completed:
@@ -889,10 +887,10 @@ def scheduling_policy(
     from ..market.price_sources import TracePriceSource
     from ..market.simulator import SpotMarket
     from ..traces.generator import generate_renewal_history
-    from .common import history_and_future
+    from .common import history_trace
 
     itype = get_instance_type(instance_type)
-    history, _ = history_and_future(itype, config, 97)
+    history = history_trace(itype, config, 97)
     dist = history.to_distribution()
     surrogate = JobSpec(
         total_work / num_workers, seconds(30), slot_length=config.slot_length
@@ -1012,7 +1010,7 @@ def history_length_sensitivity(
     """
     from ..core.client import BiddingClient
     from ..traces.generator import generate_equilibrium_history
-    from .common import calm_start_slot, history_and_future
+    from .common import calm_start_slot, future_trace
 
     itype = get_instance_type(instance_type)
     job = JobSpec(1.0, seconds(30), slot_length=config.slot_length)
@@ -1032,7 +1030,7 @@ def history_length_sensitivity(
                 DecisionRequest(job=job, strategy=Strategy.PERSISTENT)
             ).decision
             bids.append(decision.price)
-            _, future = history_and_future(itype, config, 99, rep)
+            future = future_trace(itype, config, 99, rep)
             futures.append(future)
             starts.append(calm_start_slot(rng, future))
         # Each repetition's refit bid runs only on its own future trace:

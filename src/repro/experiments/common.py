@@ -14,6 +14,10 @@ The backtest protocol (fixed across experiments):
   see :func:`repro.traces.generator.generate_renewal_history`) on which
   bids are executed, starting at a random slot ("random times of the
   day", §7.1).
+
+Both come from one seeded substream, history first:
+:func:`history_trace` draws the history and :func:`future_trace` the
+future that follows it, skipping the history's draws in O(1).
 """
 
 from __future__ import annotations
@@ -26,14 +30,19 @@ import numpy as np
 
 from ..constants import DEFAULT_SLOT_HOURS, SLOTS_PER_DAY
 from ..traces.catalog import InstanceType, get_instance_type
-from ..traces.generator import generate_equilibrium_history, generate_renewal_history
+from ..traces.generator import (
+    generate_equilibrium_history,
+    generate_renewal_history,
+    skip_equilibrium_history,
+)
 from ..traces.history import SpotPriceHistory
 
 __all__ = [
     "ExperimentConfig",
     "FAST_CONFIG",
     "FULL_CONFIG",
-    "history_and_future",
+    "history_trace",
+    "future_trace",
     "random_start_slot",
     "calm_start_slot",
     "format_table",
@@ -70,12 +79,11 @@ FAST_CONFIG = ExperimentConfig(history_days=30.0, future_days=6.0, repetitions=6
 FULL_CONFIG = ExperimentConfig(repetitions=20)
 
 
-def history_and_future(
+def _trace_stream(
     instance_type: Union[str, InstanceType],
     config: ExperimentConfig,
-    *stream: int,
-) -> Tuple[SpotPriceHistory, SpotPriceHistory]:
-    """The standard (history, future) trace pair for one instance type."""
+    stream: Tuple[int, ...],
+) -> Tuple[InstanceType, np.random.Generator]:
     itype = (
         instance_type
         if isinstance(instance_type, InstanceType)
@@ -83,11 +91,35 @@ def history_and_future(
     )
     # A per-type substream keyed by a *stable* hash (str hash() is
     # randomized per process and would break reproducibility).
-    rng = config.rng(zlib.crc32(itype.name.encode()), *stream)
-    history = generate_equilibrium_history(
+    return itype, config.rng(zlib.crc32(itype.name.encode()), *stream)
+
+
+def history_trace(
+    instance_type: Union[str, InstanceType],
+    config: ExperimentConfig,
+    *stream: int,
+) -> SpotPriceHistory:
+    """The equilibrium history of one instance type on its substream:
+    the first draws of ``stream``, which the client fits."""
+    itype, rng = _trace_stream(instance_type, config, stream)
+    return generate_equilibrium_history(
         itype, days=config.history_days, rng=rng, slot_length=config.slot_length
     )
-    future = generate_renewal_history(
+
+
+def future_trace(
+    instance_type: Union[str, InstanceType],
+    config: ExperimentConfig,
+    *stream: int,
+) -> SpotPriceHistory:
+    """The renewal future of one instance type on its substream: the
+    draws of ``stream`` that follow :func:`history_trace`'s history,
+    which is skipped rather than drawn."""
+    itype, rng = _trace_stream(instance_type, config, stream)
+    skip_equilibrium_history(
+        rng, days=config.history_days, slot_length=config.slot_length
+    )
+    return generate_renewal_history(
         itype,
         days=config.future_days,
         rng=rng,
@@ -95,7 +127,6 @@ def history_and_future(
         tail_episode_hours=config.tail_episode_hours,
         slot_length=config.slot_length,
     )
-    return history, future
 
 
 def random_start_slot(rng: np.random.Generator) -> int:

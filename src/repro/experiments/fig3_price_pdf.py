@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..provider.fitting import FitResult, fit_both_families
+from ..provider.fitting import FitResult, fit_both_families, fit_pareto
 from ..traces.catalog import FIG3_TYPES, get_instance_type
 from ..traces.generator import market_model_for
-from .common import ExperimentConfig, FULL_CONFIG, format_table, history_and_future
+from .common import ExperimentConfig, FULL_CONFIG, format_table, history_trace
 
 
 def _generating_model(instance_type: str):
@@ -117,11 +117,11 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig3Result:
     panels = []
     for name in FIG3_TYPES:
         itype = get_instance_type(name)
-        history, _future = history_and_future(itype, config, 3)
+        history = history_trace(itype, config, 3)
         pareto, exponential = fit_both_families(
             history.prices, itype.on_demand_price, theta=itype.market.theta
         )
-        pareto_exact, _ = fit_both_families(
+        pareto_exact = fit_pareto(
             history.prices,
             itype.on_demand_price,
             theta=itype.market.theta,

@@ -23,7 +23,7 @@ from ..market.simulator import JobOutcome, SpotMarket
 from ..core.types import BidKind
 from ..traces.catalog import get_instance_type
 from ..traces.generator import generate_renewal_history
-from .common import ExperimentConfig, FULL_CONFIG, history_and_future
+from .common import ExperimentConfig, FULL_CONFIG, history_trace
 
 __all__ = ["Fig4Result", "run"]
 
@@ -66,7 +66,7 @@ class Fig4Result:
 def run(config: ExperimentConfig = FULL_CONFIG) -> Fig4Result:
     """Replay a persistent job over one day of sticky r3.xlarge prices."""
     itype = get_instance_type("r3.xlarge")
-    history, _ = history_and_future(itype, config, 4)
+    history = history_trace(itype, config, 4)
     client = BiddingClient(history, ondemand_price=itype.on_demand_price)
     job = JobSpec(
         execution_time=1.0, recovery_time=seconds(30), slot_length=config.slot_length

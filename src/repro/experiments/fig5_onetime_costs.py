@@ -26,7 +26,8 @@ from .common import (
     FULL_CONFIG,
     format_table,
     calm_start_slot,
-    history_and_future,
+    future_trace,
+    history_trace,
 )
 
 __all__ = ["Fig5Bar", "Fig5Result", "run"]
@@ -97,7 +98,7 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig5Result:
     bars = []
     for name in TABLE3_TYPES:
         itype = get_instance_type(name)
-        history, _ = history_and_future(itype, config, 50)
+        history = history_trace(itype, config, 50)
         client = BiddingClient(history, ondemand_price=itype.on_demand_price)
         decision = client.respond(
             DecisionRequest(job=job, strategy=Strategy.ONE_TIME)
@@ -106,7 +107,7 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig5Result:
         futures = []
         starts = []
         for rep in range(config.repetitions):
-            _, future = history_and_future(itype, config, 51, rep)
+            future = future_trace(itype, config, 51, rep)
             futures.append(future)
             starts.append(calm_start_slot(rng, future))
         report = run_sweep(

@@ -32,7 +32,8 @@ from .common import (
     FULL_CONFIG,
     format_table,
     calm_start_slot,
-    history_and_future,
+    future_trace,
+    history_trace,
 )
 
 __all__ = ["STRATEGIES", "Fig6Cell", "Fig6Result", "run"]
@@ -125,7 +126,7 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig6Result:
     cells: List[Fig6Cell] = []
     for name in TABLE3_TYPES:
         itype = get_instance_type(name)
-        history, _ = history_and_future(itype, config, 60)
+        history = history_trace(itype, config, 60)
         client = BiddingClient(history, ondemand_price=itype.on_demand_price)
         onetime_job = JobSpec(base_ts, slot_length=config.slot_length)
         onetime = client.respond(
@@ -141,7 +142,7 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig6Result:
         futures = []
         starts = []
         for rep in range(repetitions):
-            _, future = history_and_future(itype, config, 61, rep)
+            future = future_trace(itype, config, 61, rep)
             futures.append(future)
             starts.append(calm_start_slot(rng, future))
 

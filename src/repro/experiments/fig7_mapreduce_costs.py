@@ -25,7 +25,7 @@ from .common import (
     TABLE4_SETTINGS,
     format_table,
     calm_start_slot,
-    history_and_future,
+    future_trace,
 )
 from .table4_mapreduce_plans import build_plan
 
@@ -110,8 +110,8 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig7Result:
         rng = config.rng(7, zlib.crc32(f"{master_name}/{slave_name}".encode()))
         master_futs, slave_futs, starts = [], [], []
         for rep in range(config.repetitions):
-            _, master_fut = history_and_future(master_t, config, 71, rep)
-            _, slave_fut = history_and_future(slave_t, config, 72, rep)
+            master_fut = future_trace(master_t, config, 71, rep)
+            slave_fut = future_trace(slave_t, config, 72, rep)
             master_futs.append(master_fut)
             slave_futs.append(slave_fut)
             starts.append(calm_start_slot(rng, slave_fut))

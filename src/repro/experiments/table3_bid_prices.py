@@ -21,7 +21,13 @@ from ..core.client import BiddingClient
 from ..core.heuristics import retrospective_best_price
 from ..core.types import DecisionRequest, JobSpec, Strategy
 from ..traces.catalog import TABLE3_TYPES, get_instance_type
-from .common import ExperimentConfig, FULL_CONFIG, format_table, history_and_future
+from .common import (
+    ExperimentConfig,
+    FULL_CONFIG,
+    format_table,
+    future_trace,
+    history_trace,
+)
 
 __all__ = ["Table3Row", "Table3Result", "run"]
 
@@ -79,7 +85,8 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Table3Result:
     rows = []
     for name in TABLE3_TYPES:
         itype = get_instance_type(name)
-        history, future = history_and_future(itype, config, 30)
+        history = history_trace(itype, config, 30)
+        future = future_trace(itype, config, 30)
         client = BiddingClient(history, ondemand_price=itype.on_demand_price)
         onetime = client.respond(
             DecisionRequest(job=JobSpec(execution_time), strategy=Strategy.ONE_TIME)

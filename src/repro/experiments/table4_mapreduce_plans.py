@@ -27,7 +27,8 @@ from .common import (
     TABLE4_SETTINGS,
     format_table,
     calm_start_slot,
-    history_and_future,
+    future_trace,
+    history_trace,
 )
 
 __all__ = ["WORDCOUNT", "Table4Row", "Table4Result", "run", "build_plan"]
@@ -120,8 +121,8 @@ def build_plan(
     """
     master_t = get_instance_type(master_name)
     slave_t = get_instance_type(slave_name)
-    master_hist, _ = history_and_future(master_t, config, 40)
-    slave_hist, _ = history_and_future(slave_t, config, 41)
+    master_hist = history_trace(master_t, config, 40)
+    slave_hist = history_trace(slave_t, config, 41)
     md, sd = master_hist.to_distribution(), slave_hist.to_distribution()
     job = WORDCOUNT.to_job_spec(num_slaves=6, slot_length=config.slot_length)
     seed_plan = plan_master_slave(
@@ -149,8 +150,8 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Table4Result:
         rng = config.rng(42, zlib.crc32(f"{master_name}/{slave_name}".encode()))
         master_futs, slave_futs, starts = [], [], []
         for rep in range(config.repetitions):
-            _, master_fut = history_and_future(master_t, config, 43, rep)
-            _, slave_fut = history_and_future(slave_t, config, 44, rep)
+            master_fut = future_trace(master_t, config, 43, rep)
+            slave_fut = future_trace(slave_t, config, 44, rep)
             master_futs.append(master_fut)
             slave_futs.append(slave_fut)
             starts.append(calm_start_slot(rng, slave_fut))

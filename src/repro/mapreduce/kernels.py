@@ -34,11 +34,12 @@ for the argument contract):
   window slots, all live lanes in lockstep, early exit when every lane
   has terminated.
 - :func:`mapreduce_grid_kernel_event` — event-driven: reuses the
-  rank/count machinery of :mod:`repro.sweep.events` to walk only
-  *accepted* slots per lane (with per-lane slot windows), in four
-  stages: find each master's first up-slot, simulate the slave window,
-  walk the master's billing/restart/completion events, then re-simulate
-  the (rare) slave windows truncated by a master restart cap.
+  block scan of :mod:`repro.sweep.events` (the ``price <= bid``
+  threshold test) to walk only *accepted* slots per lane (with per-lane
+  slot windows), in four stages: find each master's first up-slot,
+  simulate the slave window, walk the master's
+  billing/restart/completion events, then re-simulate the (rare) slave
+  windows truncated by a master restart cap.
 
 Grid-level orchestration (plan/trace normalization, the
 ``REPRO_SWEEP_KERNEL`` switch, shared-memory process fan-out) lives in
@@ -275,29 +276,10 @@ def mapreduce_grid_kernel(
     return out
 
 
-def _lane_accept_counts(
-    sorted_prices: np.ndarray, lane_row: np.ndarray, lane_bid: np.ndarray
-) -> np.ndarray:
-    """Accepted-slot count per lane over its full (padded) trace row.
-
-    ``rank[row, s] < count`` is then an O(1) membership test for slot
-    ``s`` — ties at the bid are included, exactly the engine's
-    ``bid >= price`` rule.  Rows are few (one per trace pair), so the
-    per-row ``searchsorted`` loop is cheap.
-    """
-    cnt = np.empty(lane_row.size, dtype=np.int64)
-    for row in np.unique(lane_row):
-        sel = lane_row == row
-        cnt[sel] = np.searchsorted(
-            sorted_prices[row], lane_bid[sel], side="right"
-        )
-    return cnt
-
-
 def _first_events(
-    rank: np.ndarray,
+    prices: np.ndarray,
     row: np.ndarray,
-    cnt: np.ndarray,
+    bid: np.ndarray,
     lo_arr: np.ndarray,
     hi_arr: np.ndarray,
     block: int,
@@ -308,21 +290,21 @@ def _first_events(
     n = row.size
     first = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n)
-    r_row, r_cnt, r_lo, r_hi = row, cnt, lo_arr, hi_arr
+    r_row, r_bid, r_lo, r_hi = row, bid, lo_arr, hi_arr
     lo = int(lo_arr.min()) if n else 0
     max_hi = int(hi_arr.max()) if n else 0
     events = 0
     while idx.size and lo < max_hi:
         hi = min(lo + block, max_hi)
-        slots, counts = _block_events(rank, r_row, r_cnt, lo, hi, r_lo, r_hi)
+        slots, counts = _block_events(prices, r_row, r_bid, lo, hi, r_lo, r_hi)
         hit = counts > 0
         if slots is not None and hit.any():
             events += int(np.count_nonzero(hit))
             first[idx[hit]] = slots[hit, 0]
         done = hit | (hi >= r_hi)
         keep = ~done
-        idx, r_row, r_cnt, r_lo, r_hi = (
-            idx[keep], r_row[keep], r_cnt[keep], r_lo[keep], r_hi[keep]
+        idx, r_row, r_bid, r_lo, r_hi = (
+            idx[keep], r_row[keep], r_bid[keep], r_lo[keep], r_hi[keep]
         )
         lo = hi
     return first, events
@@ -330,9 +312,8 @@ def _first_events(
 
 def _slave_walk(
     slave_prices: np.ndarray,
-    rank: np.ndarray,
     row: np.ndarray,
-    cnt: np.ndarray,
+    bid: np.ndarray,
     lo_arr: np.ndarray,
     hi_arr: np.ndarray,
     work: np.ndarray,
@@ -361,7 +342,7 @@ def _slave_walk(
     o_tc = np.full(n, _NO_SLOT, dtype=np.int64)
 
     idx = np.arange(n)
-    r_row, r_cnt, r_lo, r_hi = row, cnt, lo_arr, hi_arr
+    r_row, r_bid, r_lo, r_hi = row, bid, lo_arr, hi_arr
     r_base, r_rec = rel_base, recovery
     pend = np.zeros(n)
     w = work.astype(float).copy()
@@ -377,7 +358,9 @@ def _slave_walk(
     max_hi = int(hi_arr.max()) if n else 0
     while idx.size and lo < max_hi:
         hi = min(lo + block, max_hi)
-        slots, counts = _block_events(rank, r_row, r_cnt, lo, hi, r_lo, r_hi)
+        slots, counts = _block_events(
+            slave_prices, r_row, r_bid, lo, hi, r_lo, r_hi
+        )
         if slots is not None:
             for k in range(slots.shape[1]):
                 act = (counts > k) & ~fin
@@ -422,8 +405,8 @@ def _slave_walk(
             o_ct[ids] = ct[done]
             o_tc[ids] = tc[done]
             keep = ~done
-            idx, r_row, r_cnt, r_lo, r_hi = (
-                idx[keep], r_row[keep], r_cnt[keep], r_lo[keep], r_hi[keep]
+            idx, r_row, r_bid, r_lo, r_hi = (
+                idx[keep], r_row[keep], r_bid[keep], r_lo[keep], r_hi[keep]
             )
             r_base, r_rec = r_base[keep], r_rec[keep]
             pend, w, cost, intr = pend[keep], w[keep], cost[keep], intr[keep]
@@ -468,23 +451,19 @@ def mapreduce_grid_kernel_event(
     out = _result(n_lanes)
     if n_lanes == 0:
         return out
-    from ..sweep.events import _BLOCK, _block_events, _price_ranks
+    from ..sweep.events import _BLOCK, _block_events
 
     slot_len = float(slot_length)
     cap_k = int(max_master_restarts)
     win_lo = lane_start.astype(np.int64)
     win_hi = win_lo + lane_budget.astype(np.int64)
 
-    rank_m = _price_ranks(master_prices)
-    cnt_m = _lane_accept_counts(
-        np.sort(master_prices, axis=1), lane_mrow, lane_master_bid
-    )
     events = 0
 
     # Stage 1 — first master-up slot: fixes each lane's slave submission
     # slot (t_first + 1); lanes whose master never comes up are done.
     t_first, ev = _first_events(
-        rank_m, lane_mrow, cnt_m, win_lo, win_hi, _BLOCK
+        master_prices, lane_mrow, lane_master_bid, win_lo, win_hi, _BLOCK
     )
     events += ev
     never = t_first < 0
@@ -500,16 +479,10 @@ def mapreduce_grid_kernel_event(
     s_ct = np.zeros(n_lanes)
     t_c = np.full(n_lanes, _NO_SLOT, dtype=np.int64)
     t_sub = np.full(n_lanes, _NO_SLOT, dtype=np.int64)
-    rank_s = None
-    cnt_s = None
     if launched.size:
-        rank_s = _price_ranks(slave_prices)
-        cnt_s = _lane_accept_counts(
-            np.sort(slave_prices, axis=1), lane_srow, lane_slave_bid
-        )
         t_sub[launched] = t_first[launched] + 1
         cost, intr, done, ct, tc, ev = _slave_walk(
-            slave_prices, rank_s, lane_srow[launched], cnt_s[launched],
+            slave_prices, lane_srow[launched], lane_slave_bid[launched],
             t_sub[launched], win_hi[launched], lane_work[launched],
             lane_recovery[launched], slot_len, win_lo[launched], _BLOCK,
         )
@@ -533,7 +506,7 @@ def mapreduce_grid_kernel_event(
     if launched.size:
         idx = launched.copy()
         r_row = lane_mrow[idx]
-        r_cnt = cnt_m[idx]
+        r_bid = lane_master_bid[idx]
         r_lo, r_hi = win_lo[idx], win_hi[idx]
         r_tc = t_c[idx]
         m_acc = np.zeros(idx.size)
@@ -549,7 +522,7 @@ def mapreduce_grid_kernel_event(
         while idx.size and lo < max_hi:
             hi = min(lo + _BLOCK, max_hi)
             slots, counts = _block_events(
-                rank_m, r_row, r_cnt, lo, hi, r_lo, r_hi
+                master_prices, r_row, r_bid, lo, hi, r_lo, r_hi
             )
             if slots is not None:
                 for k in range(slots.shape[1]):
@@ -609,8 +582,8 @@ def mapreduce_grid_kernel_event(
                     t_sub_h = (t_sub[cids] - win_lo[cids]) * slot_len
                     ct_out[cids] = t_sub_h + (s_ct[cids] - t_sub_h)
                 keep = ~done
-                idx, r_row, r_cnt, r_lo, r_hi, r_tc = (
-                    idx[keep], r_row[keep], r_cnt[keep],
+                idx, r_row, r_bid, r_lo, r_hi, r_tc = (
+                    idx[keep], r_row[keep], r_bid[keep],
                     r_lo[keep], r_hi[keep], r_tc[keep],
                 )
                 m_acc, tot, downs, prev = (
@@ -625,7 +598,7 @@ def mapreduce_grid_kernel_event(
     redo = np.flatnonzero((term == _RESTARTS) & (t_break + 1 < win_hi))
     if redo.size:
         cost, intr, done, ct, tc, ev = _slave_walk(
-            slave_prices, rank_s, lane_srow[redo], cnt_s[redo],
+            slave_prices, lane_srow[redo], lane_slave_bid[redo],
             t_sub[redo], t_break[redo] + 1, lane_work[redo],
             lane_recovery[redo], slot_len, win_lo[redo], _BLOCK,
         )

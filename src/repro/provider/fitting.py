@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
 from ..errors import FittingError
-from .arrivals import ExponentialArrivals, ParetoArrivals
+from .arrivals import ArrivalProcess, ExponentialArrivals, ParetoArrivals
 from .equilibrium import EquilibriumPriceModel, lambda_min_for_floor
 
 __all__ = [
@@ -123,6 +123,72 @@ def _normalized_curve(raw: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return raw / area
 
 
+def _density_on_bins(
+    centers: np.ndarray,
+    widths: np.ndarray,
+    *,
+    family: str,
+    theta: float,
+    pi_bar: float,
+    pi_min: float,
+    jacobian: bool,
+) -> Callable[[float, float, float], np.ndarray]:
+    """:func:`model_density` on fixed bins, as ``density(beta, shape,
+    floor_mass)``.
+
+    Everything that depends on the bins alone — ``π̄ − 2·centers``, its
+    square, the ``centers ≥ π̄/2`` mask and the floor-bin mask — is
+    computed here once, so a fit's residual calls redo only the work
+    that depends on the parameters.
+    """
+    centers = np.asarray(centers, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    gap = pi_bar - 2.0 * centers
+    gap_sq = gap**2
+    above_half = centers >= pi_bar / 2.0
+    floor_gap = pi_bar - 2.0 * pi_min
+    # Bins at or below the floor hold the atom, not continuum density.
+    floor_bin = (centers - widths / 2.0 <= pi_min) & (pi_min < centers + widths / 2.0)
+    has_floor_bin = bool(floor_bin.any())
+
+    def density(beta: float, shape: float, floor_mass: float) -> np.ndarray:
+        lam_floor = theta * (beta / floor_gap - 1.0)
+        if lam_floor <= 0.0:
+            return np.full_like(centers, np.inf)
+        arrivals: ArrivalProcess
+        if family == "pareto":
+            if not 0.0 <= floor_mass < 1.0:
+                return np.full_like(centers, np.inf)
+            lam_min = lam_floor * (1.0 - floor_mass) ** (1.0 / shape)
+            arrivals = ParetoArrivals(alpha=shape, minimum=lam_min)
+            atom = floor_mass
+        elif family == "exponential":
+            arrivals = ExponentialArrivals(eta=shape)
+            # The floor clip puts F_Λ(Λ_min) of mass on π_min automatically.
+            atom = arrivals.cdf(lam_floor)
+        else:
+            raise FittingError(f"unknown family {family!r}")
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = theta * (beta / gap - 1.0)
+        lam = np.where(above_half, np.inf, lam)
+        lam = np.maximum(lam, 0.0)
+        raw = arrivals.pdf_array(lam)
+        raw[lam <= lam_floor] = 0.0
+        if jacobian:
+            with np.errstate(divide="ignore"):
+                jac = 2.0 * theta * beta / gap_sq
+            raw = raw * np.where(above_half, 0.0, jac)
+        raw = np.where(np.isfinite(raw), raw, 0.0)
+        with np.errstate(invalid="ignore"):
+            curve = _normalized_curve(raw, centers) * (1.0 - atom)
+            if has_floor_bin:
+                curve = curve + np.where(floor_bin, atom / widths, 0.0)
+        return curve
+
+    return density
+
+
 def model_density(
     centers: np.ndarray,
     widths: np.ndarray,
@@ -147,44 +213,16 @@ def model_density(
     over the bin range so least squares against a true density is
     scale-consistent.
     """
-    centers = np.asarray(centers, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    half = pi_bar / 2.0
-    lam_floor = theta * (beta / (pi_bar - 2.0 * pi_min) - 1.0)
-    if lam_floor <= 0.0:
-        return np.full_like(centers, np.inf)
-
-    if family == "pareto":
-        if not 0.0 <= floor_mass < 1.0:
-            return np.full_like(centers, np.inf)
-        lam_min = lam_floor * (1.0 - floor_mass) ** (1.0 / shape)
-        arrivals = ParetoArrivals(alpha=shape, minimum=lam_min)
-        atom = floor_mass
-    elif family == "exponential":
-        arrivals = ExponentialArrivals(eta=shape)
-        # The floor clip puts F_Λ(Λ_min) of mass on π_min automatically.
-        atom = arrivals.cdf(lam_floor)
-    else:
-        raise FittingError(f"unknown family {family!r}")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = theta * (beta / (pi_bar - 2.0 * centers) - 1.0)
-    lam = np.where(centers >= half, np.inf, lam)
-    lam = np.maximum(lam, 0.0)
-    # Bins at or below the floor hold the atom, not continuum density.
-    floor_bin = (centers - widths / 2.0 <= pi_min) & (pi_min < centers + widths / 2.0)
-    raw = arrivals.pdf_array(lam)
-    raw[lam <= lam_floor] = 0.0
-    if jacobian:
-        with np.errstate(divide="ignore"):
-            jac = 2.0 * theta * beta / (pi_bar - 2.0 * centers) ** 2
-        raw = raw * np.where(centers >= half, 0.0, jac)
-    raw = np.where(np.isfinite(raw), raw, 0.0)
-    with np.errstate(invalid="ignore"):
-        curve = _normalized_curve(raw, centers) * (1.0 - atom)
-        if floor_bin.any():
-            curve = curve + np.where(floor_bin, atom / widths, 0.0)
-    return curve
+    density = _density_on_bins(
+        centers,
+        widths,
+        family=family,
+        theta=theta,
+        pi_bar=pi_bar,
+        pi_min=pi_min,
+        jacobian=jacobian,
+    )
+    return density(beta, shape, floor_mass)
 
 
 def _fit_family(
@@ -200,6 +238,15 @@ def _fit_family(
     bounds: Tuple[np.ndarray, np.ndarray],
 ) -> FitResult:
     target = hist.density
+    density = _density_on_bins(
+        hist.centers,
+        hist.widths,
+        family=family,
+        theta=theta,
+        pi_bar=pi_bar,
+        pi_min=pi_min,
+        jacobian=jacobian,
+    )
 
     def unpack(x: np.ndarray):
         if family == "pareto":
@@ -212,19 +259,7 @@ def _fit_family(
         return beta_fixed, float(x[0]), 0.0
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        beta, shape, q = unpack(x)
-        curve = model_density(
-            hist.centers,
-            hist.widths,
-            family=family,
-            beta=beta,
-            theta=theta,
-            shape=shape,
-            pi_bar=pi_bar,
-            pi_min=pi_min,
-            floor_mass=q,
-            jacobian=jacobian,
-        )
+        curve = density(*unpack(x))
         if not np.all(np.isfinite(curve)):
             return np.full_like(target, 1e6)
         return curve - target
@@ -243,18 +278,7 @@ def _fit_family(
         raise FittingError(f"{family} fit failed from every starting point")
 
     beta, shape, q = unpack(best.x)
-    fitted = model_density(
-        hist.centers,
-        hist.widths,
-        family=family,
-        beta=beta,
-        theta=theta,
-        shape=shape,
-        pi_bar=pi_bar,
-        pi_min=pi_min,
-        floor_mass=q,
-        jacobian=jacobian,
-    )
+    fitted = density(beta, shape, q)
     if family == "exponential":
         lam_floor = theta * (beta / (pi_bar - 2.0 * pi_min) - 1.0)
         q = float(ExponentialArrivals(eta=shape).cdf(lam_floor))

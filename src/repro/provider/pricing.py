@@ -44,6 +44,16 @@ def validate_price_band(pi_bar: float, pi_min: float) -> None:
         )
 
 
+def _check_demand(demand: float) -> None:
+    if demand < 0:
+        raise ValueError(f"demand must be non-negative, got {demand!r}")
+
+
+def _check_beta(beta: float) -> None:
+    if beta < 0:
+        raise ValueError(f"beta must be non-negative, got {beta!r}")
+
+
 def accepted_bids(demand: float, price: float, pi_bar: float, pi_min: float) -> float:
     """``N(t) = L(t)·(π̄ − π)/(π̄ − π_min)`` — bids above the spot price.
 
@@ -51,8 +61,12 @@ def accepted_bids(demand: float, price: float, pi_bar: float, pi_min: float) -> 
     bids that beat a spot price ``π`` is the band fraction above ``π``.
     """
     validate_price_band(pi_bar, pi_min)
-    if demand < 0:
-        raise ValueError(f"demand must be non-negative, got {demand!r}")
+    _check_demand(demand)
+    return _accepted_bids(demand, price, pi_bar, pi_min)
+
+
+def _accepted_bids(demand: float, price: float, pi_bar: float, pi_min: float) -> float:
+    """:func:`accepted_bids` on inputs the caller has already checked."""
     fraction = (pi_bar - price) / (pi_bar - pi_min)
     return demand * min(max(fraction, 0.0), 1.0)
 
@@ -83,10 +97,16 @@ def optimal_spot_price(
     bid distribution.
     """
     validate_price_band(pi_bar, pi_min)
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta!r}")
-    if demand < 0:
-        raise ValueError(f"demand must be non-negative, got {demand!r}")
+    _check_beta(beta)
+    _check_demand(demand)
+    return _optimal_spot_price(demand, beta, pi_bar, pi_min)
+
+
+def _optimal_spot_price(
+    demand: float, beta: float, pi_bar: float, pi_min: float
+) -> float:
+    """Eq. 3 (:func:`optimal_spot_price`) on inputs the caller has
+    already checked."""
     if demand == 0.0:
         return pi_min
     band = pi_bar - pi_min

@@ -15,13 +15,19 @@ Props. 1–3 (queue stability, equilibrium, induced price distribution).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..errors import DistributionError
 from .arrivals import ArrivalProcess
-from .pricing import accepted_bids, optimal_spot_price, validate_price_band
+from .pricing import (
+    _accepted_bids,
+    _check_beta,
+    _check_demand,
+    _optimal_spot_price,
+    validate_price_band,
+)
 
 __all__ = [
     "queue_step",
@@ -40,12 +46,25 @@ def queue_step(
     pi_min: float,
 ) -> float:
     """One application of eq. 4: ``L(t+1) = L(t) − θN(t) + Λ(t)``."""
+    _check_step(theta, arrivals_value)
+    validate_price_band(pi_bar, pi_min)
+    _check_demand(demand)
+    return _next_demand(
+        demand, _accepted_bids(demand, price, pi_bar, pi_min), arrivals_value, theta
+    )
+
+
+def _check_step(theta: float, arrivals_value: float) -> None:
     if not 0.0 <= theta <= 1.0:
         raise DistributionError(f"theta must be in [0, 1], got {theta!r}")
     if arrivals_value < 0:
         raise ValueError(f"arrivals must be non-negative, got {arrivals_value!r}")
-    n = accepted_bids(demand, price, pi_bar, pi_min)
-    nxt = demand - theta * n + arrivals_value
+
+
+def _next_demand(
+    demand: float, accepted: float, arrivals_value: float, theta: float
+) -> float:
+    nxt = demand - theta * accepted + arrivals_value
     # 0 <= θ <= 1 and π within the band guarantee positivity analytically;
     # clamp only against floating-point dust.
     return max(0.0, nxt)
@@ -132,12 +151,21 @@ class ProviderSimulation:
             raise ValueError(f"demand must be non-negative, got {demand!r}")
 
     def step(self, arrivals_value: float) -> tuple:
-        """Advance one slot; returns ``(price, accepted, new_demand)``."""
-        price = optimal_spot_price(self._state, self.beta, self.pi_bar, self.pi_min)
-        n = accepted_bids(self._state, price, self.pi_bar, self.pi_min)
-        self._state = queue_step(
-            self._state, price, arrivals_value, self.theta, self.pi_bar, self.pi_min
-        )
+        """Advance one slot; returns ``(price, accepted, new_demand)``.
+
+        Eq. 3 prices the slot and eq. 4 moves the queue.  The inputs are
+        checked once, in the order the public formulas check them (band,
+        β, demand, θ, arrivals), so parameters changed after
+        construction are still caught at the next step.
+        """
+        demand, beta, pi_bar, pi_min = self._state, self.beta, self.pi_bar, self.pi_min
+        validate_price_band(pi_bar, pi_min)
+        _check_beta(beta)
+        _check_demand(demand)
+        _check_step(self.theta, arrivals_value)
+        price = _optimal_spot_price(demand, beta, pi_bar, pi_min)
+        n = _accepted_bids(demand, price, pi_bar, pi_min)
+        self._state = _next_demand(demand, n, arrivals_value, self.theta)
         return price, n, self._state
 
     def run(self, n_slots: int, rng: np.random.Generator) -> ProviderTrace:
@@ -145,16 +173,20 @@ class ProviderSimulation:
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots!r}")
         arrivals_seq = self.arrivals.sample(n_slots, rng)
-        demand = np.empty(n_slots)
-        price = np.empty(n_slots)
-        accepted = np.empty(n_slots)
-        for i in range(n_slots):
-            demand[i] = self._state
-            p, n, _ = self.step(float(arrivals_seq[i]))
-            price[i] = p
-            accepted[i] = n
+        demand: List[float] = []
+        price: List[float] = []
+        accepted: List[float] = []
+        step = self.step
+        for value in np.asarray(arrivals_seq, dtype=float).tolist():
+            demand.append(self._state)
+            p, n, _ = step(value)
+            price.append(p)
+            accepted.append(n)
         return ProviderTrace(
-            demand=demand, price=price, accepted=accepted, arrivals=arrivals_seq
+            demand=np.asarray(demand, dtype=float),
+            price=np.asarray(price, dtype=float),
+            accepted=np.asarray(accepted, dtype=float),
+            arrivals=arrivals_seq,
         )
 
 

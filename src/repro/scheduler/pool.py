@@ -204,6 +204,16 @@ class _Coordinator:
             else None
         )
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
+        # A forked child inherits every coordinator-side end open now,
+        # its own and its live siblings', and must close them: while any
+        # copy survives, a worker whose coordinator died never reads EOF
+        # and lives on as an orphan.  A spawned child inherits none, and
+        # passing the ends to it would duplicate them into it.
+        inherited: Tuple[Connection, ...] = (
+            (parent_conn, *(w.conn for w in self.workers.values()))
+            if self.ctx.get_start_method() == "fork"
+            else ()
+        )
         process = self.ctx.Process(
             target=worker_main,
             args=(
@@ -213,6 +223,7 @@ class _Coordinator:
                 self.fn,
                 self.heartbeat_seconds,
                 plan,
+                inherited,
             ),
             daemon=True,
             name=f"repro-sched-w{slot}e{epoch}",

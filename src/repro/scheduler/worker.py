@@ -21,7 +21,7 @@ import os
 import threading
 import time
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..resilience.faults import WorkerFaultPlan
@@ -36,13 +36,19 @@ def worker_main(
     fn: Callable[[Any], Any],
     heartbeat_seconds: float,
     plan: "Optional[WorkerFaultPlan]" = None,
+    inherited: Sequence[Connection] = (),
 ) -> None:
     """Run shards from ``conn`` until told to stop (or chaos kills us).
 
     The worker never raises out of this function: shard exceptions are
     reported as ``("err", ...)`` messages and the loop continues, so one
     poison shard cannot take the worker (and its warm caches) down.
+    ``inherited`` holds the coordinator-side pipe ends a forked worker
+    inherited; closing them first lets ``conn`` read EOF once the
+    coordinator is gone, so the worker exits with it.
     """
+    for end in inherited:
+        end.close()
     send_lock = threading.Lock()
     stop = threading.Event()
 

@@ -67,11 +67,24 @@ _FIELDS = (
 )
 
 
-def _trace_prices(trace: object) -> np.ndarray:
-    """Extract a 1-D float price array from a history or array-like."""
+def _trace_prices(trace: object, index: int) -> np.ndarray:
+    """Extract trace ``index``'s 1-D float price array from a history or
+    array-like.
+
+    Every price must be finite and non-negative: the kernels would
+    silently reject a NaN slot, bill a negative one, and could not tell
+    a raw ``+inf`` from the stack's own padding.
+    """
     prices = np.asarray(getattr(trace, "prices", trace), dtype=float)
     if prices.ndim != 1 or prices.size == 0:
         raise MarketError("each trace must be a non-empty 1-D price array")
+    # NaN fails both comparisons, so two reductions cover every bad slot.
+    if not (prices.min() >= 0.0 and prices.max() < np.inf):
+        slot = int(np.flatnonzero(~(np.isfinite(prices) & (prices >= 0.0)))[0])
+        raise MarketError(
+            f"trace {index} has price {float(prices[slot])!r} at slot {slot}; "
+            "prices must be finite and non-negative"
+        )
     return prices
 
 
@@ -93,9 +106,9 @@ def _stack_traces(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Slice, pad and stack traces into ``(matrix, n_valid)``.
 
-    Ragged rows (different lengths or start slots) are padded with
-    ``+inf`` — never accepted by any finite bid — and their true lengths
-    recorded in ``n_valid``.
+    Prices are validated before padding.  Ragged rows (different
+    lengths or start slots) are padded with ``+inf`` — never accepted
+    by any finite bid — and their true lengths recorded in ``n_valid``.
     """
     seq = list(traces)
     rows: List[np.ndarray] = []
@@ -107,8 +120,8 @@ def _stack_traces(
             raise MarketError(
                 f"start_slots has {len(starts)} entries for {len(seq)} traces"
             )
-    for trace, start in zip(seq, starts):
-        prices = _trace_prices(trace)
+    for index, (trace, start) in enumerate(zip(seq, starts)):
+        prices = _trace_prices(trace, index)
         if not 0 <= start < prices.size:
             raise MarketError(
                 f"start_slot {start} out of range for a {prices.size}-slot trace"

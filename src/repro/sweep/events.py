@@ -6,18 +6,18 @@ work even though a rejected slot is a pure no-op for a lane and a
 completed lane never changes again.  The kernels here restructure the
 same computation around three exact observations:
 
-1. **Acceptance structure is integer.**  Sorting each trace's prices
-   once yields, per lane, the *count* of accepted slots
-   (``searchsorted``) and, via price ranks, an exact O(1) membership
-   test ``rank[t, s] < count`` — slot ``s`` is accepted by a lane iff
-   the slot's price rank is below the lane's count.  Ties at the bid
-   boundary are handled exactly because the count includes every slot
-   whose price equals the boundary value.
+1. **Acceptance is a threshold test.**  Slot ``s`` of trace ``t`` is
+   accepted by a bid iff ``prices[t, s] <= bid`` — the oracle's own
+   rule, ties at the bid included.  Sorting each trace's prices once
+   (``searchsorted``, ``side="right"``) also yields, per lane, the
+   *count* of slots that test passes, which retires a lane once it has
+   seen all of them.
 2. **Lanes with equal counts are identical.**  Two bids on the same
    trace that accept the same number of slots accept the *same* slots
-   and therefore produce bit-identical outcomes; the grid is
-   deduplicated to unique ``(trace, count)`` lanes and results are
-   scattered back at the end.
+   (the accepted sets are nested, so equal sizes mean equal sets) and
+   therefore produce bit-identical outcomes; the grid is deduplicated
+   to unique ``(trace, count)`` lanes, each testing with one of its
+   bids, and results are scattered back at the end.
 3. **Float state must advance sequentially per accepted slot.**  The
    oracle's cost/recovery/work accumulators are order-sensitive float
    chains, so the kernel replays exactly the same elementwise
@@ -25,11 +25,12 @@ same computation around three exact observations:
    touch no accumulator and drops lanes that can never change again.
 
 The slot axis is processed in fixed-width blocks: within a block each
-live lane's accepted slots are extracted (a stable argsort of the
-block's acceptance mask — run boundaries fall out of the slot indices
-themselves), then lanes advance in lockstep over their k-th accepted
-slot of the block.  Finished and exhausted lanes are compacted away at
-block boundaries, so late blocks run over a shrinking live set.
+live lane's accepted slots are extracted (the threshold test on the
+block's prices, then a stable argsort of the acceptance mask — run
+boundaries fall out of the slot indices themselves), then lanes advance
+in lockstep over their k-th accepted slot of the block.  Finished and
+exhausted lanes are compacted away at block boundaries, so late blocks
+run over a shrinking live set.
 
 Outputs are **bitwise identical** to the reference kernels (and hence
 to the scalar :mod:`repro.market.fastpath` oracle) for every cell
@@ -49,31 +50,22 @@ from ..errors import MarketError
 __all__ = ["onetime_sweep_kernel", "persistent_sweep_kernel"]
 
 #: Slot-axis block width for the acceptance scan.  Large enough to
-#: amortize per-block setup (rank gather, stable argsort, compaction),
+#: amortize per-block setup (price gather, stable argsort, compaction),
 #: small enough that lanes finishing early waste little lockstep work.
 _BLOCK = 32
 
 
-def _price_ranks(prices: np.ndarray) -> np.ndarray:
-    """Per-trace price ranks: ``rank[t, s]`` = position of slot ``s`` in
-    trace ``t``'s price-sorted order.  A lane accepting ``cnt`` slots
-    accepts exactly the slots with ``rank < cnt``."""
-    n_traces, n_slots = prices.shape
-    by_price = np.argsort(prices, axis=1, kind="stable")
-    rank = np.empty((n_traces, n_slots), dtype=np.int64)
-    rank[np.arange(n_traces)[:, None], by_price] = np.arange(n_slots)[None, :]
-    return rank
-
-
 def _dedup_lanes(
-    accepted_total: np.ndarray, n_slots: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    accepted_total: np.ndarray, bids2: np.ndarray, n_slots: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Collapse the ``(T, B)`` grid to unique ``(trace, count)`` lanes.
 
-    Returns ``(flat_alive, inverse, u_trace, u_cnt)``: the flat cell
-    indices with at least one accepted slot, the map from those cells to
-    unique lanes, and the unique lanes' trace index and accepted count.
-    Returns ``None`` when no lane ever runs.
+    Returns ``(flat_alive, inverse, u_trace, u_cnt, u_bid)``: the flat
+    cell indices with at least one accepted slot, the map from those
+    cells to unique lanes, and the unique lanes' trace index, accepted
+    count and bid — that of the lane's first cell, since every bid of a
+    lane accepts the same slots.  Returns ``None`` when no lane ever
+    runs.
     """
     n_traces, n_bids = accepted_total.shape
     flat_cnt = accepted_total.ravel()
@@ -82,16 +74,20 @@ def _dedup_lanes(
         return None
     lane_trace = flat_alive // n_bids
     keys = lane_trace * np.int64(n_slots + 1) + flat_cnt[flat_alive]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_keys, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
     u_trace = unique_keys // (n_slots + 1)
     u_cnt = unique_keys % (n_slots + 1)
-    return flat_alive, inverse, u_trace, u_cnt
+    bid_col = flat_alive[first] % n_bids
+    u_bid = bids2[u_trace, bid_col] if bids2.shape[0] > 1 else bids2[0, bid_col]
+    return flat_alive, inverse, u_trace, u_cnt, u_bid
 
 
 def _block_events(
-    rank: np.ndarray,
+    prices: np.ndarray,
     trace: np.ndarray,
-    cnt: np.ndarray,
+    bid: np.ndarray,
     lo: int,
     hi: int,
     lane_lo: Optional[np.ndarray] = None,
@@ -102,19 +98,19 @@ def _block_events(
     Returns ``(slots, counts)``: ``slots[i, k]`` is lane ``i``'s k-th
     accepted slot in the block (temporal order; columns past
     ``counts[i]`` are meaningless) and ``counts[i]`` how many it has.
-    Integer-only — the stable argsort of the negated acceptance mask
-    moves accepted positions to the front without disturbing their
-    temporal order, which is exactly the lane's event schedule.
+    Lane ``i`` accepts slot ``s`` iff ``prices[trace[i], s] <= bid[i]``;
+    the stable argsort of the negated acceptance mask then moves
+    accepted positions to the front without disturbing their temporal
+    order, which is exactly the lane's event schedule.
 
     ``lane_lo`` / ``lane_hi`` optionally restrict each lane to its own
     slot window ``[lane_lo[i], lane_hi[i])`` — the MapReduce grid
     kernels walk lanes whose simulation windows start at different
     trace offsets (per-run start slots) and end at different horizons.
     """
-    slots_ax = np.arange(lo, hi)
-    block_rank = rank[trace[:, None], slots_ax[None, :]]
-    acc = block_rank < cnt[:, None]
+    acc = prices[:, lo:hi][trace] <= bid[:, None]
     if lane_lo is not None:
+        slots_ax = np.arange(lo, hi)
         acc &= (slots_ax[None, :] >= lane_lo[:, None]) & (
             slots_ax[None, :] < lane_hi[:, None]
         )
@@ -174,17 +170,17 @@ def persistent_sweep_kernel(
         "interruptions": interruptions,
         "slots_simulated": 0,
     }
-    lanes = _dedup_lanes(accepted_total, n_slots)
+    lanes = _dedup_lanes(accepted_total, bids2, n_slots)
     if lanes is None:
         return result
-    flat_alive, inverse, u_trace, u_cnt = lanes
+    flat_alive, inverse, u_trace, u_cnt, u_bid = lanes
     n_lanes = u_trace.size
-    rank = _price_ranks(prices)
 
     # Live (compacted) per-lane state; `lane` maps back to unique lanes.
     lane = np.arange(n_lanes)
     trace = u_trace.copy()
     cnt = u_cnt.copy()
+    bid = u_bid
     w = np.full(n_lanes, float(work))
     pend = np.zeros(n_lanes)
     l_cost = np.zeros(n_lanes)
@@ -212,7 +208,7 @@ def persistent_sweep_kernel(
         if trace.size == 0:
             break
         slots, counts = _block_events(
-            rank, trace, cnt, lo, min(lo + _BLOCK, max_slot)
+            prices, trace, bid, lo, min(lo + _BLOCK, max_slot)
         )
         if slots is not None:
             for k in range(slots.shape[1]):
@@ -260,7 +256,7 @@ def persistent_sweep_kernel(
             o_seen[ids] = seen[done]
             o_last[ids] = last[done]
             keep = ~done
-            lane, trace, cnt = lane[keep], trace[keep], cnt[keep]
+            lane, trace, cnt, bid = lane[keep], trace[keep], cnt[keep], bid[keep]
             w, pend = w[keep], pend[keep]
             l_cost, l_run, l_rec, l_ct = (
                 l_cost[keep], l_run[keep], l_rec[keep], l_ct[keep],
@@ -337,16 +333,16 @@ def onetime_sweep_kernel(
         "interruptions": np.zeros(shape, dtype=np.int64),
         "slots_simulated": 0,
     }
-    lanes = _dedup_lanes(accepted_total, n_slots)
+    lanes = _dedup_lanes(accepted_total, bids2, n_slots)
     if lanes is None:
         return result
-    flat_alive, inverse, u_trace, u_cnt = lanes
+    flat_alive, inverse, u_trace, u_cnt, u_bid = lanes
     n_lanes = u_trace.size
-    rank = _price_ranks(prices)
 
     lane = np.arange(n_lanes)
     trace = u_trace.copy()
     cnt = u_cnt.copy()
+    bid = u_bid
     w = np.full(n_lanes, float(work))
     l_cost = np.zeros(n_lanes)
     l_run = np.zeros(n_lanes)
@@ -371,7 +367,7 @@ def onetime_sweep_kernel(
         if trace.size == 0:
             break
         slots, counts = _block_events(
-            rank, trace, cnt, lo, min(lo + _BLOCK, max_slot)
+            prices, trace, bid, lo, min(lo + _BLOCK, max_slot)
         )
         if slots is not None:
             for k in range(slots.shape[1]):
@@ -409,7 +405,7 @@ def onetime_sweep_kernel(
             o_started[ids] = started[done]
             o_start[ids] = start_slot[done]
             keep = ~done
-            lane, trace, cnt = lane[keep], trace[keep], cnt[keep]
+            lane, trace, cnt, bid = lane[keep], trace[keep], cnt[keep], bid[keep]
             w = w[keep]
             l_cost, l_run, l_ct = l_cost[keep], l_run[keep], l_ct[keep]
             started, dead, fin = started[keep], dead[keep], fin[keep]

@@ -6,7 +6,9 @@ equivalent traces from the paper's own Section 4 model (see DESIGN.md §2
 for the substitution argument).  Three generators are provided:
 
 * :func:`generate_equilibrium_history` — i.i.d. draws from the Prop. 2/3
-  equilibrium price distribution (the paper's standing assumption).
+  equilibrium price distribution (the paper's standing assumption);
+  :func:`skip_equilibrium_history` advances a generator past one such
+  history without drawing it.
 * :func:`generate_provider_history` — prices from the *closed-loop*
   provider simulation (eq. 3 pricing + eq. 4 queueing); includes the
   transient dynamics the equilibrium model abstracts away.
@@ -32,6 +34,7 @@ from .history import SpotPriceHistory
 __all__ = [
     "market_model_for",
     "generate_equilibrium_history",
+    "skip_equilibrium_history",
     "generate_provider_history",
     "generate_correlated_history",
     "generate_renewal_history",
@@ -98,6 +101,24 @@ def generate_equilibrium_history(
         start_hour=start_hour,
         instance_type=itype.name,
     )
+
+
+def skip_equilibrium_history(
+    rng: np.random.Generator,
+    *,
+    days: float = 60.0,
+    slot_length: float = DEFAULT_SLOT_HOURS,
+) -> None:
+    """Leave ``rng`` where :func:`generate_equilibrium_history` would.
+
+    The equilibrium sampler draws exactly one double per slot
+    (:meth:`~repro.provider.arrivals.ParetoArrivals.sample`), so jumping
+    the bit generator ahead by the slot count lands on the same state
+    without drawing, transforming or validating a price — O(1) for the
+    PCG64 generators :func:`numpy.random.default_rng` builds.  Use it
+    when only the draws that follow a history on a substream are wanted.
+    """
+    rng.bit_generator.advance(_n_slots(days, slot_length))
 
 
 def generate_provider_history(
@@ -223,21 +244,24 @@ def generate_renewal_history(
     rate = (q / floor_episode_hours) / (
         q / floor_episode_hours + (1.0 - q) / tail_episode_hours
     )
+    # Geometric episode lengths with the requested means, >= 1 slot.
+    p_floor = min(1.0, slot_length / floor_episode_hours)
+    p_tail = min(1.0, slot_length / tail_episode_hours)
+    floor = model.lower
+    tail_mass = 1.0 - q
+    ppf = model.ppf
+    uniform = rng.uniform
+    geometric = rng.geometric
     prices = np.empty(n)
     i = 0
     while i < n:
-        is_floor = rng.uniform() < rate
-        mean_hours = floor_episode_hours if is_floor else tail_episode_hours
-        # Geometric episode length with the requested mean, >= 1 slot.
-        p_end = min(1.0, slot_length / mean_hours)
-        length = int(rng.geometric(p_end))
-        length = min(length, n - i)
+        is_floor = uniform() < rate
+        length = min(int(geometric(p_floor if is_floor else p_tail)), n - i)
         if is_floor:
-            level = model.lower
+            level = floor
         else:
             # A draw from the continuum above the floor.
-            u = rng.uniform()
-            level = model.ppf(q + u * (1.0 - q))
+            level = ppf(q + uniform() * tail_mass)
         prices[i : i + length] = level
         i += length
     return SpotPriceHistory(

@@ -87,3 +87,26 @@ def serve_grid():
         execution_times=(0.5, 1.0, 2.0, 4.0),
         recovery_times=(0.0, seconds(30), seconds(120)),
     )
+
+
+#: The numerics the suite's sha256 pins were taken with: the numpy and
+#: scipy versions perfbench/README.md records, and the SIMD target numpy
+#: dispatches float64 ``power`` to (its last bits differ between targets).
+PINNED_NUMERICS = ("2.4.6", "1.17.1", "X86_V4")
+
+
+@pytest.fixture
+def pinned_numerics():
+    """Skip a bitwise sha256 pin outside the numerics it was taken with."""
+    import scipy
+
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0
+        power = None
+    else:
+        info = opt_func_info(func_name="power", signature="float64")
+        power = info.get("power", {}).get("ddd", {}).get("current")
+    here = (np.__version__, scipy.__version__, power)
+    if here != PINNED_NUMERICS:
+        pytest.skip(f"pins taken under numpy/scipy/power {PINNED_NUMERICS}, not {here}")

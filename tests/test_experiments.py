@@ -5,7 +5,10 @@ fast; the benchmarks run the same experiments at full size and assert the
 paper's quantitative shapes.
 """
 
+import zlib
+
 import numpy as np
+import pytest
 
 from repro.experiments import (
     ExperimentConfig,
@@ -19,8 +22,51 @@ from repro.experiments import (
     table3_bid_prices,
     table4_mapreduce_plans,
 )
+from repro.experiments.common import (
+    FAST_CONFIG,
+    FULL_CONFIG,
+    future_trace,
+    history_trace,
+)
+from repro.traces.catalog import get_instance_type, list_instance_types
+from repro.traces.generator import (
+    generate_equilibrium_history,
+    generate_renewal_history,
+)
 
 TINY = ExperimentConfig(history_days=15.0, future_days=4.0, repetitions=3)
+
+FLOOR_TYPES = [
+    name
+    for name in list_instance_types()
+    if 0.0 < get_instance_type(name).market.floor_mass < 1.0
+]
+
+
+class TestTraceStreams:
+    @pytest.mark.parametrize("config", [FAST_CONFIG, FULL_CONFIG], ids=["fast", "full"])
+    @pytest.mark.parametrize("name", FLOOR_TYPES)
+    def test_future_trace_is_the_draw_after_the_history(self, name, config):
+        """Skipping the history lands on the very draws that drawing it
+        did: history, then renewal future, from one substream."""
+        itype = get_instance_type(name)
+        for stream in ((51, 0), (61, 7), (96, 19)):
+            rng = config.rng(zlib.crc32(name.encode()), *stream)
+            history = generate_equilibrium_history(
+                itype, days=config.history_days, rng=rng, slot_length=config.slot_length
+            )
+            future = generate_renewal_history(
+                itype,
+                days=config.future_days,
+                rng=rng,
+                floor_episode_hours=config.floor_episode_hours,
+                tail_episode_hours=config.tail_episode_hours,
+                slot_length=config.slot_length,
+            )
+            got = history_trace(itype, config, *stream)
+            assert got.prices.tobytes() == history.prices.tobytes()
+            got = future_trace(itype, config, *stream)
+            assert got.prices.tobytes() == future.prices.tobytes()
 
 
 class TestFig3:

@@ -1,11 +1,14 @@
 """Section 4.3: least-squares fitting of the spot-price PDF."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from repro.errors import FittingError
+from repro.experiments.common import FULL_CONFIG, history_trace
 from repro.provider.fitting import (
     fit_both_families,
     fit_exponential,
@@ -13,6 +16,7 @@ from repro.provider.fitting import (
     histogram_pdf,
     model_density,
 )
+from repro.traces.catalog import FIG3_TYPES, get_instance_type
 from repro.traces.generator import generate_equilibrium_history, market_model_for
 
 
@@ -110,3 +114,26 @@ class TestFits:
         prices = np.full(100, 0.2)
         with pytest.raises(FittingError):
             fit_pareto(prices, 0.35)
+
+
+class TestPinnedFits:
+    def test_fig3_panel_fits_match_their_pin(self, pinned_numerics):
+        """Both families in both conventions on Fig. 3 panel (a)'s
+        history, bit for bit: the tables print two or three digits."""
+        itype = get_instance_type(FIG3_TYPES[0])
+        history = history_trace(itype, FULL_CONFIG, 3)
+        digest = hashlib.sha256()
+        for jacobian in (False, True):
+            for fit in fit_both_families(
+                history.prices,
+                itype.on_demand_price,
+                theta=itype.market.theta,
+                jacobian=jacobian,
+            ):
+                for name in (
+                    "beta", "theta", "alpha", "eta", "pi_bar", "pi_min",
+                    "floor_mass", "mse_density", "mse_mass",
+                ):
+                    value = getattr(fit, name)
+                    digest.update(b"-" if value is None else struct.pack("<d", value))
+        assert digest.hexdigest()[:16] == "cff7194ec70c0cfa"

@@ -1,5 +1,6 @@
 """Synthetic trace generators: support, marginals, temporal texture."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -144,3 +145,30 @@ class TestNonDefaultSlotLength:
             history = fn("r3.xlarge", days=2, rng=rng, slot_length=0.25)
             assert history.slot_length == 0.25
             assert history.n_slots == int(2 * 24 / 0.25)
+
+
+class TestPinnedRenewal:
+    @pytest.mark.parametrize(
+        ("days", "floor_hours", "tail_hours", "pin"),
+        [
+            (8.0, 36.0, 2.5, "da21fb9a66eaebb1"),  # FULL_CONFIG futures
+            (3.0, 0.4, 0.5, "5cb817a864fbf423"),  # Fig. 4 candidate days
+        ],
+        ids=["full-config", "fig4"],
+    )
+    def test_renewal_traces_match_their_pin(
+        self, pinned_numerics, days, floor_hours, tail_hours, pin
+    ):
+        """The episode loop's draw order and arithmetic, bit for bit."""
+        digest = hashlib.sha256()
+        for name in ("r3.xlarge", "c3.4xlarge", "m1.xlarge"):
+            for seed in range(20):
+                trace = generate_renewal_history(
+                    name,
+                    days=days,
+                    rng=np.random.default_rng(seed),
+                    floor_episode_hours=floor_hours,
+                    tail_episode_hours=tail_hours,
+                )
+                digest.update(trace.prices.tobytes())
+        assert digest.hexdigest()[:16] == pin

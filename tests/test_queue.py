@@ -1,5 +1,6 @@
 """Queue dynamics (eq. 4) and the closed-loop provider simulation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,11 @@ from repro.errors import DistributionError
 from repro.provider.arrivals import DeterministicArrivals, ParetoArrivals
 from repro.provider.equilibrium import price_from_arrivals
 from repro.provider.pricing import accepted_bids
-from repro.provider.queue import ProviderSimulation, queue_step
+from repro.provider.queue import (
+    ElasticProviderSimulation,
+    ProviderSimulation,
+    queue_step,
+)
 
 PI_BAR, PI_MIN = 0.35, 0.03
 
@@ -150,3 +155,46 @@ class TestElasticDemand:
 
         with pytest.raises(DistributionError):
             self._sim(1.5)
+
+
+class TestStepChecks:
+    def test_beta_set_negative_after_construction_raises_at_step(self, r3_model):
+        sim = ProviderSimulation(
+            arrivals=r3_model.arrivals,
+            beta=r3_model.beta,
+            theta=r3_model.theta,
+            pi_bar=r3_model.pi_bar,
+            pi_min=r3_model.lower,
+        )
+        sim.step(1.0)
+        sim.beta = -1.0
+        with pytest.raises(ValueError, match="beta"):
+            sim.step(1.0)
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize(
+        ("cls", "extra", "pin"),
+        [
+            (ProviderSimulation, {}, "2fe925fd2cfdb4f3"),
+            (ElasticProviderSimulation, {"elasticity": 0.5}, "28374f177df7d073"),
+        ],
+        ids=["base", "elastic"],
+    )
+    def test_run_trace_matches_its_pin(
+        self, pinned_numerics, r3_model, cls, extra, pin
+    ):
+        """4,000 closed-loop slots of the r3.xlarge provider, bit for bit."""
+        sim = cls(
+            arrivals=r3_model.arrivals,
+            beta=r3_model.beta,
+            theta=r3_model.theta,
+            pi_bar=r3_model.pi_bar,
+            pi_min=r3_model.lower,
+            **extra,
+        )
+        trace = sim.run(4000, np.random.default_rng(3))
+        digest = hashlib.sha256()
+        for series in (trace.demand, trace.price, trace.accepted, trace.arrivals):
+            digest.update(series.tobytes())
+        assert digest.hexdigest()[:16] == pin

@@ -298,8 +298,9 @@ _DRIVER_SCRIPT = textwrap.dedent(
         time.sleep(0.25)
         return x * x
 
+    n_shards = int(sys.argv[2]) if len(sys.argv) > 2 else 8
     result = run_shards(
-        slow, list(range(8)), max_workers=2, journal=sys.argv[1]
+        slow, list(range(n_shards)), max_workers=2, journal=sys.argv[1]
     )
     print("finished", len(result.results))
     """
@@ -351,6 +352,57 @@ class TestDriverCrashResume:
         assert len(result.reused) >= 2
         # Only the unfinished remainder was recomputed.
         assert result.stats.dispatched == 8 - len(result.reused)
+
+
+class TestDriverKilled:
+    def test_workers_exit_when_driver_is_killed(self, tmp_path):
+        """SIGKILL the driver alone, mid-run: its pool workers must read
+        EOF on their pipes and exit rather than outlive it as orphans."""
+        path = tmp_path / "orphans.jsonl"
+        script = tmp_path / "driver.py"
+        script.write_text(_DRIVER_SCRIPT)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(path), "80"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        pgid = proc.pid  # the driver leads its own process group
+        try:
+            # A journaled shard (header line + 1) means the workers are
+            # up and about 20 s of shards are still queued.
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if path.exists():
+                    with open(path, "rb") as fh:
+                        if sum(1 for _ in fh) >= 2:
+                            break
+                time.sleep(0.02)
+            else:  # pragma: no cover - CI stall guard
+                pytest.fail("journal never accumulated records")
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                if time.monotonic() > deadline:
+                    pytest.fail("pool workers outlived their SIGKILLed driver")
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            if proc.poll() is None:  # pragma: no cover - cleanup guard
+                proc.kill()
+                proc.wait(timeout=10)
 
 
 class TestEndToEndParity:

@@ -145,6 +145,19 @@ class TestEngine:
         with pytest.raises(MarketError):
             run_sweep(traces, [0.1, 0.1, 0.1], JobSpec(1.0), pair_bids=True)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, -0.02, np.inf], ids=["nan", "negative", "inf"]
+    )
+    def test_bad_prices_are_rejected(self, bad):
+        """A NaN, negative or infinite slot raises, naming its trace,
+        instead of counting as rejected or billing a wrong amount."""
+        from repro.errors import MarketError
+
+        prices = np.full(24, 0.03)
+        prices[7] = bad
+        with pytest.raises(MarketError, match="trace 1 "):
+            run_sweep([np.full(24, 0.03), prices], 0.05, JobSpec(1.0))
+
     def test_percentile_strategy_is_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(np.full(10, 0.05), 0.1, JobSpec(1.0),
