@@ -80,7 +80,6 @@ from .errors import (
 from .market import OutcomeStats, SpotMarket, TracePriceSource
 from .provider import EquilibriumPriceModel, ProviderSimulation
 from .resilience import (
-    BackoffPolicy,
     ChaosReport,
     FaultInjector,
     FaultSpec,
@@ -154,7 +153,6 @@ __all__ = [
     "OutcomeStats",
     "SpotMarket",
     "TracePriceSource",
-    "BackoffPolicy",
     "ChaosReport",
     "FaultInjector",
     "FaultSpec",

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--high", type=float, default=None,
                          help="highest bid (default: history maximum)")
     p_sweep.add_argument("--start-slot", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--workers", type=_positive_int, default=None,
                          help="fan traces out over this many workers")
     p_sweep.add_argument(
         "--ondemand", type=float, default=None,

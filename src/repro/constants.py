@@ -285,13 +285,15 @@ SCHED_HEARTBEAT_SECONDS: "EnvVar[float]" = EnvVar(
     values="positive number of seconds (default 0.5)",
 )
 
-#: Distinct-worker failures after which a shard is quarantined as poison.
+#: Failures after which a shard is quarantined as poison (on the pool,
+#: on distinct worker incarnations).
 SCHED_MAX_SHARD_FAILURES: "EnvVar[int]" = EnvVar(
     name="REPRO_SCHED_MAX_SHARD_FAILURES",
     default=3,
     parse=lambda raw: _parse_positive_int("REPRO_SCHED_MAX_SHARD_FAILURES", raw),
-    description="Number of distinct-worker failures after which the "
-    "scheduler quarantines a shard as poison instead of re-queuing it.",
+    description="Number of failures (on the process pool, on distinct "
+    "workers) after which the scheduler quarantines a shard as poison "
+    "instead of re-running it.",
     values="positive integer (default 3)",
 )
 

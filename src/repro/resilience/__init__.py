@@ -8,12 +8,13 @@ uninterrupted backtest loop.  This package drops both assumptions:
   duplicated slots, revocation storms, truncation) composed by a
   :class:`FaultInjector` that rewrites recorded traces or wraps a live
   market's price source.
-* :mod:`repro.resilience.execution` — the retry/backoff/journal
-  machinery under :func:`repro.sweep.run_sweep`'s resilient mode:
-  failing work items become structured :class:`ItemFailure` records in a
-  partial report instead of aborting the pool, and a
-  :class:`SweepJournal` lets an interrupted sweep resume without
-  recomputing finished items.
+* :mod:`repro.resilience.execution` — the records behind
+  :func:`repro.sweep.run_sweep`'s resilient mode: a shard that keeps
+  failing becomes a structured :class:`ItemFailure` in a partial report
+  instead of aborting the run, and a :class:`SweepJournal` lets an
+  interrupted sweep resume without recomputing finished shards.  The
+  retry, quarantine and journal rules themselves live once, in
+  :func:`repro.scheduler.run_shards`.
 * :mod:`repro.resilience.chaos` — the ``repro-bid chaos`` harness:
   backtest one bid under every fault class and report cost/completion
   degradation relative to the clean run, and (``--kill-workers``) run a
@@ -32,14 +33,7 @@ from .chaos import (
     run_mapreduce_chaos,
     run_worker_chaos,
 )
-from .execution import (
-    BackoffPolicy,
-    ExecutionResult,
-    ItemFailure,
-    JournalWarning,
-    SweepJournal,
-    run_items,
-)
+from .execution import ItemFailure, JournalWarning, SweepJournal
 from .faults import (
     FaultInjector,
     FaultSpec,
@@ -55,9 +49,7 @@ from .faults import (
 )
 
 __all__ = [
-    "BackoffPolicy",
     "ChaosReport",
-    "ExecutionResult",
     "FaultClassResult",
     "FaultInjector",
     "FaultSpec",
@@ -78,7 +70,6 @@ __all__ = [
     "WorkerFaults",
     "default_fault_suite",
     "run_chaos",
-    "run_items",
     "run_mapreduce_chaos",
     "run_worker_chaos",
 ]

@@ -583,8 +583,6 @@ def run_worker_chaos(
         worker_faults=faults,
     )
     chaos_seconds = time.perf_counter() - t0
-    if chaotic.scheduler is None:  # pragma: no cover - defensive
-        raise FaultError("chaotic run did not go through the process pool")
 
     mismatched = tuple(
         name

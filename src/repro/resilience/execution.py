@@ -1,74 +1,29 @@
-"""Resilient work-item execution for long sweep runs.
+"""Failure records and resume journals for sharded runs.
 
-:func:`run_items` is the machinery behind
-:func:`repro.sweep.run_sweep`'s resilient mode: each work item is
-isolated, retried with capped exponential backoff, optionally bounded by
-a per-item timeout, and — when it still fails — recorded as a structured
-:class:`ItemFailure` instead of killing the whole pool.  A
-:class:`SweepJournal` persists finished items as JSON lines so an
-interrupted run can resume without recomputing them.
+:func:`repro.scheduler.run_shards` — the executor under
+:func:`repro.sweep.run_sweep` and the fan-out of
+:func:`repro.mapreduce.run_plan_grid` — records a shard that keeps
+failing as a structured :class:`ItemFailure` instead of killing the
+whole run, and appends finished shards to a :class:`SweepJournal`
+(JSON lines) so an interrupted run can resume without recomputing
+them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Optional, Union
 
 from ..errors import SweepExecutionError
 
 __all__ = [
-    "BackoffPolicy",
     "ItemFailure",
-    "ExecutionResult",
     "JournalWarning",
     "SweepJournal",
-    "run_items",
 ]
-
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Capped exponential backoff between retry rounds.
-
-    Retry ``k`` (0-based) sleeps ``min(max_delay, base_delay *
-    multiplier**k)`` seconds before re-running the failed items.
-    """
-
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.base_delay < 0:
-            raise SweepExecutionError(
-                f"base_delay must be non-negative, got {self.base_delay!r}"
-            )
-        if self.multiplier < 1.0:
-            raise SweepExecutionError(
-                f"multiplier must be >= 1, got {self.multiplier!r}"
-            )
-        if self.max_delay < 0:
-            raise SweepExecutionError(
-                f"max_delay must be non-negative, got {self.max_delay!r}"
-            )
-
-    def delay(self, retry: int) -> float:
-        return min(self.max_delay, self.base_delay * self.multiplier**retry)
 
 
 @dataclass(frozen=True)
@@ -86,21 +41,6 @@ class ItemFailure:
             f"item {self.index} ({self.label}): {self.error_type}: "
             f"{self.message} after {self.attempts} attempt(s)"
         )
-
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Outcome of :func:`run_items` over one batch."""
-
-    #: Per-item results, in item order; ``None`` where the item failed.
-    results: List[Optional[Any]]
-    failures: Tuple[ItemFailure, ...]
-    #: Indices served from the journal instead of being recomputed.
-    reused: Tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 class JournalWarning(UserWarning):
@@ -229,169 +169,3 @@ class SweepJournal:
             if self.fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
-
-
-def _identity(value: Any) -> Any:
-    return value
-
-
-def run_items(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    labels: Optional[Sequence[str]] = None,
-    retries: int = 0,
-    backoff: Optional[BackoffPolicy] = None,
-    timeout: Optional[float] = None,
-    strict: bool = False,
-    max_workers: Optional[int] = None,
-    executor: str = "thread",
-    journal: Optional[SweepJournal] = None,
-    keys: Optional[Sequence[str]] = None,
-    serialize: Callable[[Any], Any] = _identity,
-    deserialize: Callable[[Any], Any] = _identity,
-    sleep: Callable[[float], None] = time.sleep,
-) -> ExecutionResult:
-    """Apply ``fn`` to every item, isolating and retrying failures.
-
-    Items run in parallel rounds: round 0 tries everything (optionally
-    on a thread/process pool), each later round re-runs only the items
-    that failed, after the backoff delay for that round.  An item whose
-    result does not arrive within ``timeout`` seconds of being collected
-    counts as failed for that round (the worker itself cannot be killed;
-    its result is discarded).
-
-    With ``strict=True`` any permanent failure escalates to
-    :class:`~repro.errors.SweepExecutionError`; otherwise failures are
-    returned as :class:`ItemFailure` records alongside the partial
-    results.  With a ``journal``, items whose key is already journaled
-    are returned without recomputation and fresh successes are appended
-    (``serialize``/``deserialize`` convert results to/from JSON-safe
-    payloads).
-    """
-    if retries < 0:
-        raise SweepExecutionError(f"retries must be >= 0, got {retries!r}")
-    if timeout is not None and timeout <= 0:
-        raise SweepExecutionError(f"timeout must be positive, got {timeout!r}")
-    if labels is None:
-        labels = [str(i) for i in range(len(items))]
-    if journal is not None:
-        if keys is None:
-            keys = [str(i) for i in range(len(items))]
-        if len(keys) != len(items):
-            raise SweepExecutionError(
-                f"got {len(keys)} journal keys for {len(items)} items"
-            )
-    backoff = backoff or BackoffPolicy()
-
-    results: List[Optional[Any]] = [None] * len(items)
-    reused: List[int] = []
-    todo = list(range(len(items)))
-
-    if journal is not None:
-        finished = journal.load()
-        still_todo = []
-        for i in todo:
-            if keys[i] in finished:
-                results[i] = deserialize(finished[keys[i]])
-                reused.append(i)
-            else:
-                still_todo.append(i)
-        todo = still_todo
-
-    if executor == "thread":
-        pool_cls = ThreadPoolExecutor
-    elif executor == "process":
-        pool_cls = ProcessPoolExecutor
-    else:
-        raise ValueError(
-            f"unknown executor {executor!r}; use 'thread' or 'process'"
-        )
-    # A timeout needs a pool even for serial runs, so the main thread can
-    # abandon a stuck worker instead of blocking on it forever.
-    use_pool = (max_workers is not None and max_workers > 1) or (
-        timeout is not None
-    )
-    workers = max(1, max_workers or 1)
-
-    last_errors: Dict[int, BaseException] = {}
-    attempts = {i: 0 for i in todo}
-
-    def run_round(indices: List[int], pool) -> List[int]:
-        """Try each index once; returns the indices that failed."""
-        failed: List[int] = []
-        if pool is not None:
-            futures = [(i, pool.submit(fn, items[i])) for i in indices]
-            for i, future in futures:
-                attempts[i] += 1
-                try:
-                    outcome = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    last_errors[i] = TimeoutError(
-                        f"no result within {timeout:g}s"
-                    )
-                    failed.append(i)
-                except Exception as exc:
-                    last_errors[i] = exc
-                    failed.append(i)
-                else:
-                    results[i] = outcome
-                    if journal is not None:
-                        journal.record(keys[i], serialize(outcome))
-        else:
-            for i in indices:
-                attempts[i] += 1
-                try:
-                    outcome = fn(items[i])
-                except Exception as exc:
-                    last_errors[i] = exc
-                    failed.append(i)
-                else:
-                    results[i] = outcome
-                    if journal is not None:
-                        journal.record(keys[i], serialize(outcome))
-        return failed
-
-    def run_rounds(pool) -> List[int]:
-        pending = todo
-        for retry in range(retries + 1):
-            if not pending:
-                break
-            if retry > 0:
-                delay = backoff.delay(retry - 1)
-                if delay > 0:
-                    sleep(delay)
-            pending = run_round(pending, pool)
-        return pending
-
-    # One pool serves every retry round: workers (and, for process
-    # pools, their attached shared-memory segments and warm caches)
-    # survive across rounds instead of being torn down and respawned.
-    # The trade-off: a worker that blew its timeout keeps occupying a
-    # slot until it actually finishes, rather than being abandoned with
-    # the round's pool.
-    if use_pool and todo:
-        with pool_cls(max_workers=min(workers, max(1, len(todo)))) as pool:
-            pending = run_rounds(pool)
-    else:
-        pending = run_rounds(None)
-
-    failures = tuple(
-        ItemFailure(
-            index=i,
-            label=labels[i],
-            error_type=type(last_errors[i]).__name__,
-            message=str(last_errors[i]),
-            attempts=attempts[i],
-        )
-        for i in sorted(pending)
-    )
-    if strict and failures:
-        first = failures[0]
-        raise SweepExecutionError(
-            f"{len(failures)} work item(s) failed permanently; first: {first}"
-        ) from last_errors[first.index]
-    return ExecutionResult(
-        results=results, failures=failures, reused=tuple(reused)
-    )

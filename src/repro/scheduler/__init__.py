@@ -1,14 +1,17 @@
 """Fault-tolerant work-stealing shard execution.
 
-The package's single process-fan-out path (ROADMAP item 3):
-:func:`run_shards` splits work into shards pulled dynamically by a
-persistent worker pool, with worker heartbeats, deadline-based straggler
-speculation (first completion wins), crash detection with automatic
-respawn and shard re-queue, poison-shard quarantine, and fsync'd
+The package's one fan-out executor: :func:`run_shards` runs a shard
+function over payloads on one of two lanes.  The process
+lane splits work into shards pulled dynamically by a persistent worker
+pool, with worker heartbeats, deadline-based straggler speculation
+(first completion wins), crash detection with automatic respawn and
+shard re-queue, and shard timeouts.  The thread lane
+(:mod:`repro.scheduler.inline`) runs shards in the calling process,
+serially or on threads.  Both share poison-shard quarantine and
 JSON-lines :class:`~repro.resilience.execution.SweepJournal` resume.
-:func:`repro.sweep.run_sweep` (``executor="process"``) and
-:func:`repro.mapreduce.run_plan_grid` route process fan-out through
-here; seeded process-level chaos for it lives in
+:func:`repro.sweep.run_sweep` runs every sweep through here, and
+:func:`repro.mapreduce.run_plan_grid` its process fan-out; seeded
+process-level chaos for the pool lives in
 :class:`repro.resilience.faults.WorkerFaults`.
 """
 

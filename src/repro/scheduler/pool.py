@@ -1,9 +1,12 @@
 """The work-stealing coordinator: dynamic shard dispatch over a pool.
 
-:func:`run_shards` is the single process-fan-out path of the package:
-:func:`repro.sweep.run_sweep` and :func:`repro.mapreduce.run_plan_grid`
-both route their process execution through it.  Design points, each
-forced by a failure mode the static pool could not survive:
+:func:`run_shards` is the package's one fan-out executor:
+:func:`repro.sweep.run_sweep` runs every sweep through it and
+:func:`repro.mapreduce.run_plan_grid` its process fan-out.  With
+``executor="thread"`` it hands the shards to the in-process lane
+(:mod:`repro.scheduler.inline`); otherwise the coordinator below runs
+them on a worker pool.  Design points, each forced by a failure mode
+the static pool could not survive:
 
 * **Per-worker duplex pipes, parent-driven dispatch.**  A shared
   ``multiprocessing.Queue`` holds a cross-process lock; a worker
@@ -64,6 +67,7 @@ from ..constants import (
 )
 from ..errors import SweepExecutionError
 from ..resilience.execution import ItemFailure, SweepJournal
+from .inline import run_inline
 from .types import SchedulerResult, SchedulerStats, Shard
 from .worker import worker_main
 
@@ -497,6 +501,7 @@ def run_shards(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
     *,
+    executor: str = "process",
     max_workers: Optional[int] = None,
     keys: Optional[Sequence[str]] = None,
     labels: Optional[Sequence[str]] = None,
@@ -513,23 +518,29 @@ def run_shards(
     shard_timeout: Optional[float] = None,
     worker_faults: "Optional[WorkerFaults]" = None,
 ) -> SchedulerResult:
-    """Run ``fn`` over ``payloads`` on a fault-tolerant worker pool.
+    """Run ``fn`` over ``payloads``, one shard per payload.
 
-    Each payload becomes one shard, pulled dynamically by a pool of
-    ``max_workers`` persistent processes.  The returned
+    ``executor="process"`` (the default) pulls shards dynamically onto a
+    pool of ``max_workers`` persistent worker processes.
+    ``executor="thread"`` runs them in this process
+    (:mod:`repro.scheduler.inline`): serially when ``max_workers`` is 1
+    or there is one shard, else on ``min(max_workers, n_shards)``
+    threads.  The returned
     :class:`~repro.scheduler.types.SchedulerResult` lists results in
-    shard order; shards that failed on ``max_shard_failures`` distinct
-    worker incarnations are quarantined as
-    :class:`~repro.resilience.execution.ItemFailure` rows (``None`` in
-    ``results``) — or, with ``strict=True`` (the default), raise
-    :class:`~repro.errors.SweepExecutionError`.
+    shard order on either lane; shards that failed ``max_shard_failures``
+    times (on the pool: on that many distinct worker incarnations) are
+    quarantined as :class:`~repro.resilience.execution.ItemFailure` rows
+    (``None`` in ``results``) — or, with ``strict=True`` (the default),
+    raise :class:`~repro.errors.SweepExecutionError`.  The thread lane
+    retries a failing shard at once.
 
     ``journal`` (a path or an existing
     :class:`~repro.resilience.execution.SweepJournal`) enables
-    crash-consistent resume: completed shards are appended — fsync'd —
-    under their ``keys``, and a re-run returns journaled results without
-    recomputing them.  ``serialize``/``deserialize`` convert results
-    to/from JSON-safe payloads.
+    crash-consistent resume: completed shards are appended — fsync'd
+    when given as a path — under their ``keys``, and a re-run returns
+    journaled results without recomputing them.
+    ``serialize``/``deserialize`` convert results to/from JSON-safe
+    payloads.
 
     ``straggler_factor`` / ``straggler_min_seconds`` /
     ``heartbeat_seconds`` / ``max_shard_failures`` default to the
@@ -538,8 +549,14 @@ def run_shards(
     kills and respawns a worker whose shard copy exceeds it, counting a
     failure against the shard.  ``worker_faults`` injects seeded
     process-level chaos (see
-    :class:`~repro.resilience.faults.WorkerFaults`).
+    :class:`~repro.resilience.faults.WorkerFaults`).  Both need a worker
+    that can be killed, so the thread lane rejects them with
+    ``ValueError``.
     """
+    if executor not in ("process", "thread"):
+        raise ValueError(
+            f"unknown executor {executor!r}; use 'thread' or 'process'"
+        )
     payloads = list(payloads)
     n = len(payloads)
     if keys is None:
@@ -572,6 +589,13 @@ def run_shards(
         raise SweepExecutionError(
             f"shard_timeout must be positive, got {shard_timeout!r}"
         )
+    if executor == "thread" and (
+        shard_timeout is not None or worker_faults is not None
+    ):
+        raise ValueError(
+            "shard_timeout and worker_faults need a worker that can be "
+            "killed: use executor='process'"
+        )
 
     if journal is not None and not isinstance(journal, SweepJournal):
         journal = SweepJournal(journal, signature=signature, fsync=True)
@@ -590,9 +614,19 @@ def run_shards(
         else:
             shards.append(Shard(index=i, payload=payload, key=keys[i], label=labels[i]))
 
-    failures: Tuple[ItemFailure, ...] = ()
+    done: Dict[int, Any] = {}
+    failed: List[ItemFailure] = []
     stats_raw: Dict[str, int] = {}
-    if shards:
+    if shards and executor == "thread":
+        done, failed, stats_raw = run_inline(
+            fn,
+            shards,
+            max_workers=max_workers,
+            max_shard_failures=max_shard_failures,
+            journal=journal,
+            serialize=serialize,
+        )
+    elif shards:
         coordinator = _Coordinator(
             fn,
             shards,
@@ -608,10 +642,14 @@ def run_shards(
             worker_faults=worker_faults,
         )
         coordinator.run()
-        for index, value in coordinator.results.items():
-            results[index] = value
-        failures = tuple(sorted(coordinator.failures, key=lambda f: f.index))
-        stats_raw = coordinator.stats
+        done, failed, stats_raw = (
+            coordinator.results,
+            coordinator.failures,
+            coordinator.stats,
+        )
+    for index, value in done.items():
+        results[index] = value
+    failures = tuple(sorted(failed, key=lambda f: f.index))
 
     stats = SchedulerStats(
         n_shards=n,

@@ -43,7 +43,8 @@ class SchedulerStats:
     merged).  ``worker_crashes`` counts pipe EOFs and dead processes,
     ``workers_respawned`` the replacements, ``workers_reclaimed`` the
     workers killed because they were still grinding on a shard another
-    copy had already finished.
+    copy had already finished.  On the thread lane only ``n_shards``,
+    ``reused``, ``dispatched`` (attempts) and ``quarantined`` move.
     """
 
     n_shards: int = 0

@@ -2,9 +2,10 @@
 
 :func:`run_sweep` is the front door.  It normalizes heterogeneous trace
 inputs (histories, arrays, ragged lengths, per-trace start slots) into a
-padded price matrix, dispatches to the slot-batched kernels in
-:mod:`repro.sweep.kernels` — optionally fanning traces out over a
-``concurrent.futures`` executor — and assembles a
+padded price matrix, cuts it into shards for the slot-batched kernels in
+:mod:`repro.sweep.kernels`, runs them through
+:func:`repro.scheduler.run_shards` — in this process, serially or on
+threads, or on its fault-tolerant process pool — and assembles a
 :class:`~repro.sweep.report.SweepReport` whose cells are bitwise
 identical to the scalar :mod:`repro.market.fastpath` oracle.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -23,7 +23,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -43,17 +42,10 @@ from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, open_stack
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.execution import (
-        BackoffPolicy,
-        ExecutionResult,
-        SweepJournal,
-    )
+    from ..resilience.execution import SweepJournal
     from ..resilience.faults import FaultInjector, WorkerFaults
 
-__all__ = ["map_traces", "run_sweep"]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+__all__ = ["run_sweep"]
 
 #: Result keys copied from a kernel dict into the report, in field order.
 _FIELDS = (
@@ -151,93 +143,21 @@ def _slot_length_of(traces: Union[object, Sequence[object]], job: JobSpec) -> No
             )
 
 
-def map_traces(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    *,
-    max_workers: Optional[int] = None,
-    executor: str = "thread",
-    retries: int = 0,
-    backoff: "Optional[BackoffPolicy]" = None,
-    timeout: Optional[float] = None,
-    strict: bool = True,
-    labels: Optional[Sequence[str]] = None,
-    journal: "Optional[SweepJournal]" = None,
-    keys: Optional[Sequence[str]] = None,
-    serialize: Optional[Callable[[_R], object]] = None,
-    deserialize: Optional[Callable[[object], _R]] = None,
-    return_failures: bool = False,
-) -> "Union[List[_R], ExecutionResult]":
-    """Apply ``fn`` over ``items``, optionally on an executor, preserving
-    order.  ``max_workers=None`` (or fewer than two items) runs serially;
-    ``executor`` chooses ``"thread"`` or ``"process"`` fan-out.
-
-    This is the trace-level fan-out primitive shared by :func:`run_sweep`
-    and the repetition loops of the heavier experiments (e.g. the
-    MapReduce cluster backtests, which cannot be expressed as
-    single-request kernels).
-
-    The resilience options delegate to
-    :func:`repro.resilience.execution.run_items`: failing items are
-    retried ``retries`` times with capped exponential ``backoff``,
-    bounded by a per-item ``timeout``, journaled for resume, and — with
-    ``strict=False`` — recorded as failures instead of raising.  With
-    ``return_failures=True`` the full
-    :class:`~repro.resilience.execution.ExecutionResult` is returned
-    instead of the bare result list.  With every resilience option at
-    its default the legacy fast path runs unchanged.
-    """
-    resilient = (
-        retries > 0
-        or timeout is not None
-        or journal is not None
-        or not strict
-        or return_failures
-    )
-    if resilient:
-        from ..resilience.execution import run_items
-
-        result = run_items(
-            fn,
-            items,
-            labels=labels,
-            retries=retries,
-            backoff=backoff,
-            timeout=timeout,
-            strict=strict,
-            max_workers=max_workers,
-            executor=executor,
-            journal=journal,
-            keys=keys,
-            **(
-                {"serialize": serialize} if serialize is not None else {}
-            ),
-            **(
-                {"deserialize": deserialize} if deserialize is not None else {}
-            ),
-        )
-        return result if return_failures else result.results
-    if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    if executor == "thread":
-        pool_cls = ThreadPoolExecutor
-    elif executor == "process":
-        pool_cls = ProcessPoolExecutor
-    else:
-        raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
-    with pool_cls(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _select_kernels() -> Tuple[Callable[..., dict], Callable[..., dict]]:
-    """Kernel pair chosen by ``REPRO_SWEEP_KERNEL`` (``event`` default,
-    ``reference`` for the dense oracle path).  Read per call — through
-    the :data:`repro.constants.SWEEP_KERNEL` registry entry — so workers
-    which inherit the parent's environment honor the same choice."""
+def _kernel_mode() -> str:
+    """The kernel family ``REPRO_SWEEP_KERNEL`` selects (``event``
+    default, ``reference`` for the dense oracle path), read through the
+    :data:`repro.constants.SWEEP_KERNEL` registry entry.  A sweep reads
+    it once, before dispatch, and ships the mode with every chunk."""
     try:
-        mode = SWEEP_KERNEL.get()
+        return SWEEP_KERNEL.get()
     except EnvVarError as exc:
         raise MarketError(str(exc)) from None
+
+
+def _select_kernels(mode: str) -> Tuple[Callable[..., dict], Callable[..., dict]]:
+    """The ``(one-time, persistent)`` kernel pair of a kernel ``mode``.
+    Looked up by module-global name at call time, so a function swapped
+    in at the module attribute is the one that runs."""
     if mode == "event":
         return onetime_sweep_kernel, persistent_sweep_kernel
     return onetime_sweep_kernel_reference, persistent_sweep_kernel_reference
@@ -262,15 +182,16 @@ def _resolve_payload(payload: Tuple[Any, ...]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _run_kernel_chunk(args: Tuple[Any, ...]) -> dict:
-    """Top-level (picklable) kernel dispatcher for executor fan-out.
+    """Top-level (picklable) kernel dispatcher: the shard function
+    :func:`run_sweep` hands to :func:`repro.scheduler.run_shards`.
 
     Besides the kernel fields, the returned dict reports the chunk's
     distribution-cache hit/miss delta so process workers — whose caches
     are invisible to the parent — still feed ``SweepCounters``.
     """
-    strategy_value, payload, bids, work, recovery_time, slot_length = args
+    strategy_value, payload, bids, work, recovery_time, slot_length, mode = args
     prices, n_valid = _resolve_payload(payload)
-    onetime_kernel, persistent_kernel = _select_kernels()
+    onetime_kernel, persistent_kernel = _select_kernels(mode)
     hits0, misses0 = distribution_cache_stats()
     if Strategy(strategy_value) is Strategy.ONE_TIME:
         result = onetime_kernel(
@@ -343,7 +264,6 @@ def run_sweep(
     executor: str = "thread",
     faults: "Optional[FaultInjector]" = None,
     retries: int = 0,
-    backoff: "Optional[BackoffPolicy]" = None,
     item_timeout: Optional[float] = None,
     strict: bool = True,
     journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
@@ -358,10 +278,10 @@ def run_sweep(
         :class:`~repro.traces.history.SpotPriceHistory` or a 1-D price
         array.  Lengths may differ (rows are padded internally).
     bids:
-        Bid prices in $/hour.  By default every bid is evaluated against
-        every trace (grid mode, cells ``(n_traces, n_bids)``); with
-        ``pair_bids=True``, ``bids[i]`` is evaluated only against
-        ``traces[i]`` (cells ``(n_traces, 1)``).
+        Bid prices in $/hour, each finite and non-negative.  By default
+        every bid is evaluated against every trace (grid mode, cells
+        ``(n_traces, n_bids)``); with ``pair_bids=True``, ``bids[i]`` is
+        evaluated only against ``traces[i]`` (cells ``(n_traces, 1)``).
     job:
         The :class:`~repro.core.types.JobSpec` to run in every cell.
     strategy:
@@ -373,30 +293,28 @@ def run_sweep(
     start_slots:
         Slot offset(s) applied per trace before simulation.
     max_workers / executor:
-        Optional trace-level fan-out: ``"thread"`` uses a
-        ``concurrent.futures`` thread pool, ``"process"`` routes through
-        the fault-tolerant work-stealing scheduler
-        (:func:`repro.scheduler.run_shards`) — dynamic shard dispatch,
-        straggler speculation, crash respawn and poison-shard
-        quarantine, with results bitwise identical to a serial run.
+        Trace-level fan-out through :func:`repro.scheduler.run_shards`.
+        ``"thread"`` (the default) runs the shards in this process:
+        serially, or on ``max_workers`` threads.  ``"process"`` runs
+        them on the fault-tolerant work-stealing pool — dynamic shard
+        dispatch, straggler speculation, crash respawn and poison-shard
+        quarantine.  Results are bitwise identical to a serial run
+        either way.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`; trace
         ``i`` is perturbed with ``faults.derive(i)`` before simulation,
         so fault-injected sweeps stay reproducible per root seed.
-    retries / backoff / item_timeout / strict / journal:
+    retries / item_timeout / strict / journal:
         Resilient execution (any non-default value activates it): each
-        trace becomes an isolated work item, retried with capped
-        exponential backoff and bounded by a per-item timeout.  With
-        ``strict=False`` permanent failures land in
-        ``SweepReport.failures`` (their rows become NaN placeholders)
-        instead of raising
+        trace becomes its own shard, re-run at once up to ``retries``
+        times after a failure.  With ``strict=False`` permanent failures
+        land in ``SweepReport.failures`` (their rows become NaN
+        placeholders) instead of raising
         :class:`~repro.errors.SweepExecutionError`.  ``journal`` (a path
         or :class:`~repro.resilience.execution.SweepJournal`) persists
         finished traces so an interrupted sweep resumes without
-        recomputing them.  On the process path ``retries`` bounds the
-        scheduler's per-shard failure budget (``backoff`` does not apply
-        — recovery is immediate re-dispatch) and ``item_timeout`` kills
-        and respawns a worker whose shard exceeds it.
+        recomputing them.  ``item_timeout`` kills and respawns a worker
+        whose shard exceeds it, so it needs ``executor="process"``.
     worker_faults:
         Optional :class:`~repro.resilience.faults.WorkerFaults` —
         seeded process-level chaos (worker kills, stalls, slow starts)
@@ -408,7 +326,7 @@ def run_sweep(
     -------
     SweepReport
         Per-cell outcome arrays, bitwise identical to the fastpath
-        oracle, plus work/cache counters.
+        oracle, plus work/cache counters and the scheduler's stats.
     """
     strategy = normalize_strategy(strategy)
     if not strategy.sweepable:
@@ -416,6 +334,8 @@ def run_sweep(
             f"Strategy.{strategy.name} selects a bid; compute it first and "
             "sweep the resulting price with Strategy.PERSISTENT"
         )
+    if executor not in ("thread", "process"):
+        raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
     _slot_length_of(traces, job)
     trace_list = _as_trace_list(traces)
     if faults is not None:
@@ -429,6 +349,14 @@ def run_sweep(
     n_traces = matrix.shape[0]
 
     bid_values = np.atleast_1d(np.asarray(bids, dtype=float))
+    if bid_values.size == 0:
+        raise MarketError("need at least one bid to sweep")
+    bad = ~(np.isfinite(bid_values) & (bid_values >= 0.0))
+    if bad.any():
+        raise MarketError(
+            f"bid {float(bid_values[bad][0])!r} is not a price; bids must "
+            "be finite and non-negative"
+        )
     if pair_bids:
         if bid_values.shape != (n_traces,):
             raise MarketError(
@@ -440,28 +368,34 @@ def run_sweep(
         if bid_values.ndim != 1:
             raise MarketError("bids must be a scalar or 1-D sequence")
         kernel_bids = bid_values
+    mode = _kernel_mode()
 
     recovery = job.recovery_time if strategy is Strategy.PERSISTENT else 0.0
     hits0, misses0 = distribution_cache_stats()
     n_cols = 1 if pair_bids else int(kernel_bids.shape[-1])
 
-    if worker_faults is not None and executor != "process":
-        raise ValueError("worker_faults requires executor='process'")
     resilient = (
         retries > 0 or item_timeout is not None or journal is not None or not strict
     )
+    fan_out = max_workers is not None and max_workers > 1
+    # Chunks cross a process boundary exactly when the scheduler pool
+    # will be used; only then is the price stack worth sharing (and
+    # only then do worker-local cache counters need merging back).
+    out_of_process = executor == "process" and (
+        fan_out or item_timeout is not None or worker_faults is not None
+    )
     chunks: List[np.ndarray]
     if resilient:
-        # One trace per work item so a failure (or a journal hit) is
+        # One trace per shard so a failure (or a journal hit) is
         # isolated to exactly one row of the report.
         chunks = [np.asarray([i]) for i in range(n_traces)]
-    elif max_workers is not None and max_workers > 1 and n_traces > 1:
-        # Process fan-out goes through the work-stealing scheduler, so
-        # cut more shards than workers: a slow worker then holds back
-        # one small shard, not a statically assigned 1/W of the sweep.
+    elif fan_out:
+        # The pool pulls shards dynamically, so cut more shards than
+        # workers: a slow worker then holds back one small shard, not a
+        # statically assigned 1/W of the sweep.
         n_chunks = (
             min(n_traces, max(2, 4 * max_workers))
-            if executor == "process"
+            if out_of_process
             else min(max_workers, n_traces)
         )
         bounds = np.array_split(np.arange(n_traces), n_chunks)
@@ -469,31 +403,35 @@ def run_sweep(
     else:
         chunks = [np.arange(n_traces)]
 
-    # Chunks cross a process boundary exactly when the scheduler pool
-    # will actually be used; only then is the price stack worth sharing
-    # (and only then do worker-local cache counters need merging back).
-    if resilient:
-        out_of_process = executor == "process" and (
-            (max_workers is not None and max_workers > 1)
-            or item_timeout is not None
-            or worker_faults is not None
-        )
-    else:
-        out_of_process = executor == "process" and (
-            (
-                max_workers is not None
-                and max_workers > 1
-                and len(chunks) > 1
+    if journal is not None:
+        from ..resilience.execution import SweepJournal
+
+        if not isinstance(journal, SweepJournal):
+            # Non-durable on purpose: the sweep journal is a resume
+            # optimization — losing trailing records after a crash
+            # only re-runs those cells, it never corrupts results.
+            journal = SweepJournal(
+                journal,
+                fsync=False,
+                signature={
+                    "strategy": strategy.value,
+                    "execution_time": job.execution_time,
+                    "recovery_time": recovery,
+                    "slot_length": job.slot_length,
+                    "pair_bids": pair_bids,
+                    "bids": [float(b) for b in bid_values],
+                    "n_traces": n_traces,
+                },
             )
-            or worker_faults is not None
-        )
+
+    from ..scheduler import run_shards
 
     stack: Optional[SharedPriceStack] = None
     try:
         if out_of_process:
             # Zero-copy fan-out: the (T, S) matrix and n_valid live in one
             # shared-memory segment; workers get (name, shape, row-bounds).
-            # Retry rounds and journal-resumed runs reuse the same segment.
+            # Re-dispatched and journal-resumed shards reuse the segment.
             stack = SharedPriceStack(matrix, n_valid)
 
         args = []
@@ -511,102 +449,34 @@ def run_sweep(
                     job.execution_time,
                     recovery,
                     job.slot_length,
+                    mode,
                 )
             )
 
-        failures = ()
-        reused: frozenset = frozenset()
-        sched_stats = None
         started = time.perf_counter()
-        if resilient and journal is not None:
-            from ..resilience.execution import SweepJournal
-
-            if not isinstance(journal, SweepJournal):
-                # Non-durable on purpose: the sweep journal is a resume
-                # optimization — losing trailing records after a crash
-                # only re-runs those cells, it never corrupts results.
-                journal = SweepJournal(
-                    journal,
-                    fsync=False,
-                    signature={
-                        "strategy": strategy.value,
-                        "execution_time": job.execution_time,
-                        "recovery_time": recovery,
-                        "slot_length": job.slot_length,
-                        "pair_bids": pair_bids,
-                        "bids": [float(b) for b in bid_values],
-                        "n_traces": n_traces,
-                    },
-                )
-        if out_of_process:
-            # The single process-fan-out path: the work-stealing
-            # scheduler pool (dynamic dispatch, straggler speculation,
-            # crash respawn, poison-shard quarantine).  ``retries``
-            # becomes the shard-failure budget; ``item_timeout`` the
-            # per-shard deadline after which a stuck worker is killed.
-            from ..scheduler import run_shards
-
-            sched = run_shards(
-                _run_kernel_chunk,
-                args,
-                max_workers=max_workers,
-                keys=(
-                    [f"trace:{i}" for i in range(n_traces)]
-                    if resilient
-                    else None
-                ),
-                labels=(
-                    [f"trace {i}" for i in range(n_traces)]
-                    if resilient
-                    else None
-                ),
-                journal=journal if resilient else None,
-                serialize=_serialize_kernel_result,
-                deserialize=_deserialize_kernel_result,
-                strict=strict,
-                max_shard_failures=(retries + 1) if resilient else None,
-                shard_timeout=item_timeout,
-                worker_faults=worker_faults,
-            )
-            failures = sched.failures
-            reused = frozenset(sched.reused)
-            sched_stats = sched.stats
-            results = [
-                r if r is not None else _failure_placeholder(n_cols)
-                for r in sched.results
-            ]
-        elif resilient:
-            execution = map_traces(
-                _run_kernel_chunk,
-                args,
-                max_workers=max_workers,
-                executor=executor,
-                retries=retries,
-                backoff=backoff,
-                timeout=item_timeout,
-                strict=strict,
-                labels=[f"trace {i}" for i in range(n_traces)],
-                journal=journal,
-                keys=[f"trace:{i}" for i in range(n_traces)],
-                serialize=_serialize_kernel_result,
-                deserialize=_deserialize_kernel_result,
-                return_failures=True,
-            )
-            failures = execution.failures
-            reused = frozenset(execution.reused)
-            results = [
-                r if r is not None else _failure_placeholder(n_cols)
-                for r in execution.results
-            ]
-        else:
-            results = map_traces(
-                _run_kernel_chunk, args, max_workers=max_workers, executor=executor
-            )
+        sched = run_shards(
+            _run_kernel_chunk,
+            args,
+            executor="process" if out_of_process else "thread",
+            max_workers=max_workers,
+            keys=[f"trace:{i}" for i in range(n_traces)] if resilient else None,
+            labels=[f"trace {i}" for i in range(n_traces)] if resilient else None,
+            journal=journal,
+            serialize=_serialize_kernel_result,
+            deserialize=_deserialize_kernel_result,
+            strict=strict,
+            max_shard_failures=(retries + 1) if resilient else None,
+            shard_timeout=item_timeout,
+            worker_faults=worker_faults,
+        )
         kernel_seconds = time.perf_counter() - started
     finally:
         if stack is not None:
             stack.close()
 
+    results = [
+        r if r is not None else _failure_placeholder(n_cols) for r in sched.results
+    ]
     merged = {
         key: np.concatenate([r[key] for r in results], axis=0) for key in _FIELDS
     }
@@ -617,6 +487,7 @@ def run_sweep(
     # excluded — their recorded deltas were spent in an earlier run).
     worker_hits = worker_misses = 0
     if out_of_process:
+        reused = frozenset(sched.reused)
         worker_hits = int(
             sum(
                 r.get("cache_hits", 0)
@@ -650,6 +521,6 @@ def run_sweep(
         recovery_time_used=merged["recovery_time_used"],
         interruptions=merged["interruptions"],
         counters=counters,
-        failures=failures,
-        scheduler=sched_stats,
+        failures=sched.failures,
+        scheduler=sched.stats,
     )

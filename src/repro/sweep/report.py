@@ -11,8 +11,6 @@ from ..core.types import Strategy
 from ..market.outcomes import OutcomeStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import Optional
-
     from ..resilience.execution import ItemFailure
     from ..scheduler.types import SchedulerStats
 
@@ -27,7 +25,9 @@ class SweepCounters:
     n_bids: int
     #: Total per-trace slot steps executed by the kernels.
     slots_simulated: int
-    #: Wall-clock seconds spent inside the kernels.
+    #: Wall-clock seconds of the sweep's one
+    #: :func:`~repro.scheduler.run_shards` call: the kernels plus, on
+    #: the process lane, pool start-up, IPC and journal writes.
     kernel_seconds: float
     #: Distribution-cache hits/misses observed during this sweep.
     cache_hits: int
@@ -61,11 +61,12 @@ class SweepReport:
     recovery_time_used: np.ndarray
     interruptions: np.ndarray
     counters: SweepCounters
+    #: How :func:`repro.scheduler.run_shards` ran the sweep's shards, on
+    #: whichever lane: dispatches, reuses, quarantines and, on the
+    #: process pool, speculations, crashes and respawns.
+    scheduler: "SchedulerStats"
     #: Work items that failed permanently (resilient runs only).
     failures: "Tuple[ItemFailure, ...]" = ()
-    #: How the work-stealing pool behaved (process fan-out runs only):
-    #: dispatches, speculations, crashes, respawns, quarantines.
-    scheduler: "Optional[SchedulerStats]" = None
 
     @property
     def shape(self) -> Tuple[int, int]:

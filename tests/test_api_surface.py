@@ -148,7 +148,7 @@ def test_root_exports_cover_the_resilience_layer():
 
     for symbol in (
         "FaultInjector", "FaultSpec", "PriceSpike", "RevocationStorm",
-        "BackoffPolicy", "ItemFailure", "SweepJournal",
+        "ItemFailure", "SweepJournal",
         "DegradedDecision", "default_fault_suite", "run_chaos",
         "FaultError", "SweepExecutionError",
     ):

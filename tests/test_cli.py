@@ -163,6 +163,7 @@ class TestNumericValidation:
             (["mapreduce", "--slaves", "0"], "--slaves"),
             (["chaos", "t.csv", "--intensity", "-1"], "--intensity"),
             (["chaos", "t.csv", "--starts", "0"], "--starts"),
+            (["sweep", "a.csv", "b.csv", "--workers", "0"], "--workers"),
         ],
     )
     def test_rejected_at_parse_time(self, argv, flag, capsys):

@@ -1,124 +1,15 @@
-"""Resilient work-item execution: retries, timeouts, journal, escalation."""
+"""Sweep journals: round trip, signature checks, and crash-torn tails.
+
+Retry, quarantine and journal reuse are the scheduler's and are tested
+on every lane in tests/test_scheduler.py.
+"""
 
 import json
-import time
 
 import pytest
 
 from repro.errors import SweepExecutionError
-from repro.resilience.execution import (
-    BackoffPolicy,
-    ItemFailure,
-    JournalWarning,
-    SweepJournal,
-    run_items,
-)
-
-
-class TestBackoffPolicy:
-    def test_delays_grow_and_cap(self):
-        policy = BackoffPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5)
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.delay(3) == pytest.approx(0.5)
-        assert policy.delay(10) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"base_delay": -0.1},
-            {"multiplier": 0.5},
-            {"max_delay": -1.0},
-        ],
-    )
-    def test_invalid_policy_rejected(self, kwargs):
-        with pytest.raises(SweepExecutionError):
-            BackoffPolicy(**kwargs)
-
-
-class TestRunItems:
-    def test_all_successes(self):
-        result = run_items(lambda x: x * 2, [1, 2, 3])
-        assert result.ok
-        assert result.results == [2, 4, 6]
-        assert result.failures == ()
-        assert result.reused == ()
-
-    def test_flaky_item_recovers_on_retry(self):
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if x == 2 and calls["n"] < 3:
-                raise RuntimeError("transient")
-            return x
-
-        result = run_items(
-            flaky, [1, 2], retries=3,
-            backoff=BackoffPolicy(base_delay=0.0), sleep=lambda _d: None,
-        )
-        assert result.ok
-        assert result.results == [1, 2]
-
-    def test_permanent_failure_is_isolated(self):
-        def fn(x):
-            if x == "bad":
-                raise ValueError("doomed")
-            return x.upper()
-
-        result = run_items(
-            fn, ["a", "bad", "c"], retries=2,
-            backoff=BackoffPolicy(base_delay=0.0), sleep=lambda _d: None,
-        )
-        assert not result.ok
-        assert result.results == ["A", None, "C"]
-        (failure,) = result.failures
-        assert isinstance(failure, ItemFailure)
-        assert failure.index == 1
-        assert failure.error_type == "ValueError"
-        assert failure.attempts == 3
-        assert "doomed" in failure.message
-
-    def test_strict_mode_escalates(self):
-        def fn(_x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(SweepExecutionError, match="boom"):
-            run_items(fn, [1], strict=True, sleep=lambda _d: None)
-
-    def test_backoff_delays_are_honored(self):
-        slept = []
-
-        def fn(_x):
-            raise RuntimeError("always")
-
-        run_items(
-            fn, [0], retries=2,
-            backoff=BackoffPolicy(base_delay=0.1, multiplier=2.0, max_delay=1.0),
-            sleep=slept.append,
-        )
-        assert slept == [pytest.approx(0.1), pytest.approx(0.2)]
-
-    def test_timeout_records_timeout_error(self):
-        def slow(_x):
-            time.sleep(5.0)  # pragma: no cover - abandoned by timeout
-
-        result = run_items(slow, [1], timeout=0.05)
-        (failure,) = result.failures
-        assert failure.error_type == "TimeoutError"
-
-    def test_invalid_arguments(self):
-        with pytest.raises(SweepExecutionError):
-            run_items(lambda x: x, [1], retries=-1)
-        with pytest.raises(SweepExecutionError):
-            run_items(lambda x: x, [1], timeout=0.0)
-        with pytest.raises(ValueError, match="executor"):
-            run_items(lambda x: x, [1, 2], executor="rocket", max_workers=2)
-
-    def test_parallel_execution_preserves_order(self):
-        result = run_items(lambda x: x * x, list(range(20)), max_workers=4)
-        assert result.results == [x * x for x in range(20)]
+from repro.resilience.execution import JournalWarning, SweepJournal
 
 
 class TestSweepJournal:
@@ -174,27 +65,3 @@ class TestSweepJournal:
         journal.record("b", 2)
         with pytest.warns(JournalWarning, match="unparseable"):
             assert SweepJournal(tmp_path / "j.jsonl").load() == {"a": 1, "b": 2}
-
-    def test_run_items_reuses_journaled_results(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            return x + 10
-
-        first = run_items(fn, [1, 2, 3], journal=journal)
-        assert first.results == [11, 12, 13] and calls == [1, 2, 3]
-
-        calls.clear()
-        again = run_items(
-            fn, [1, 2, 3], journal=SweepJournal(tmp_path / "j.jsonl")
-        )
-        assert again.results == [11, 12, 13]
-        assert calls == []
-        assert again.reused == (0, 1, 2)
-
-    def test_key_count_mismatch_rejected(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        with pytest.raises(SweepExecutionError, match="journal keys"):
-            run_items(lambda x: x, [1, 2], journal=journal, keys=["only-one"])

@@ -1,10 +1,13 @@
-"""The work-stealing shard scheduler: dispatch, crash recovery,
-straggler speculation, poison quarantine, and crash-consistent journals.
+"""The shard scheduler: dispatch, crash recovery, straggler speculation,
+poison quarantine, crash-consistent journals, and its in-process lane.
 
 Chaos here is *process-level* — seeded :class:`WorkerFaults` kill,
 stall, and slow-start real worker processes — and the invariant under
 test everywhere is the scheduler's contract: the failure schedule may
-change timing and accounting, never results.
+change timing and accounting, never results.  The contract classes
+(``TestBasics``, ``TestPoisonQuarantine``, ``TestShardJournal``) run on
+the process pool and again, through their ``...Serial`` and
+``...Threads`` subclasses, on the in-process lane.
 """
 
 import os
@@ -44,6 +47,39 @@ def _slow_square(x):
     return x * x
 
 
+def _stuck_one(x):
+    if x == 1:
+        time.sleep(30.0)
+    return x
+
+
+class _ProcessLane:
+    """Runs a contract test on the worker pool, at the test's own size."""
+
+    executor = "process"
+    #: Worker count that replaces each test's own, or ``None``.
+    workers = None
+
+    def run_shards(self, fn, payloads, *, max_workers, **kwargs):
+        return run_shards(
+            fn,
+            payloads,
+            executor=self.executor,
+            max_workers=self.workers or max_workers,
+            **kwargs,
+        )
+
+
+class _SerialLane(_ProcessLane):
+    executor = "thread"
+    workers = 1
+
+
+class _ThreadLane(_ProcessLane):
+    executor = "thread"
+    workers = 4
+
+
 @pytest.fixture(scope="module")
 def market():
     rng = np.random.default_rng(21)
@@ -52,9 +88,9 @@ def market():
     return history, future
 
 
-class TestBasics:
+class TestBasics(_ProcessLane):
     def test_results_in_shard_order(self):
-        result = run_shards(_square, list(range(10)), max_workers=2)
+        result = self.run_shards(_square, list(range(10)), max_workers=2)
         assert result.results == [x * x for x in range(10)]
         assert result.ok and not result.failures and not result.reused
         assert result.stats.n_shards == 10
@@ -62,15 +98,28 @@ class TestBasics:
         assert result.stats.worker_crashes == 0
 
     def test_empty_batch(self):
-        result = run_shards(_square, [], max_workers=2)
+        result = self.run_shards(_square, [], max_workers=2)
         assert result.results == [] and result.ok
         assert result.stats.n_shards == 0
 
     def test_invalid_arguments(self):
+        lane = {"executor": self.executor}
         with pytest.raises(SweepExecutionError):
-            run_shards(_square, [1], max_workers=0)
+            run_shards(_square, [1], max_workers=0, **lane)
         with pytest.raises(SweepExecutionError):
-            run_shards(_square, [1, 2], keys=["only-one"], max_workers=1)
+            run_shards(_square, [1, 2], keys=["only-one"], max_workers=1, **lane)
+        with pytest.raises(SweepExecutionError):
+            run_shards(_square, [1], shard_timeout=0, **lane)
+        with pytest.raises(ValueError, match="executor"):
+            run_shards(_square, [1, 2], executor="rocket", max_workers=2)
+
+
+class TestBasicsSerial(_SerialLane, TestBasics):
+    pass
+
+
+class TestBasicsThreads(_ThreadLane, TestBasics):
+    pass
 
 
 class TestWorkerFaultPlans:
@@ -184,13 +233,13 @@ class TestStragglerSpeculation:
         assert result.stats.speculated == 0
 
 
-class TestPoisonQuarantine:
+class TestPoisonQuarantine(_ProcessLane):
     def test_strict_run_raises_with_shard_label(self):
         with pytest.raises(SweepExecutionError, match="quarantined"):
-            run_shards(_poison_three, list(range(5)), max_workers=2)
+            self.run_shards(_poison_three, list(range(5)), max_workers=2)
 
     def test_non_strict_quarantines_after_distinct_incarnations(self):
-        result = run_shards(
+        result = self.run_shards(
             _poison_three,
             list(range(5)),
             max_workers=2,
@@ -202,12 +251,13 @@ class TestPoisonQuarantine:
         (failure,) = result.failures
         assert failure.index == 3
         assert failure.error_type == "ValueError"
-        assert failure.attempts == 2  # two distinct worker incarnations
+        # Two attempts; on the pool, on two distinct worker incarnations.
+        assert failure.attempts == 2
         assert result.stats.quarantined == 1
         assert not result.ok
 
     def test_healthy_shards_unaffected_by_poison_neighbour(self):
-        result = run_shards(
+        result = self.run_shards(
             _poison_three,
             list(range(20)),
             max_workers=3,
@@ -218,11 +268,23 @@ class TestPoisonQuarantine:
         assert result.results == expected
 
 
-class TestShardJournal:
+class TestPoisonQuarantineSerial(_SerialLane, TestPoisonQuarantine):
+    pass
+
+
+class TestPoisonQuarantineThreads(_ThreadLane, TestPoisonQuarantine):
+    pass
+
+
+class TestShardJournal(_ProcessLane):
     def test_rerun_reuses_every_shard(self, tmp_path):
         path = tmp_path / "shards.jsonl"
-        first = run_shards(_square, list(range(8)), max_workers=2, journal=path)
-        again = run_shards(_square, list(range(8)), max_workers=2, journal=path)
+        first = self.run_shards(
+            _square, list(range(8)), max_workers=2, journal=path
+        )
+        again = self.run_shards(
+            _square, list(range(8)), max_workers=2, journal=path
+        )
         assert again.results == first.results
         assert set(again.reused) == set(range(8))
         assert again.stats.reused == 8
@@ -233,7 +295,7 @@ class TestShardJournal:
         seeded = SweepJournal(path, signature={"suite": "t"}, fsync=True)
         for i in (0, 2, 5):
             seeded.record(f"shard:{i}", i * i)
-        result = run_shards(
+        result = self.run_shards(
             _square,
             list(range(6)),
             max_workers=2,
@@ -247,20 +309,22 @@ class TestShardJournal:
 
     def test_signature_mismatch_rejected(self, tmp_path):
         path = tmp_path / "shards.jsonl"
-        run_shards(
+        self.run_shards(
             _square, [1, 2], max_workers=1, journal=path,
             signature={"chunks": 2},
         )
         with pytest.raises(SweepExecutionError, match="different"):
-            run_shards(
+            self.run_shards(
                 _square, [1, 2], max_workers=1, journal=path,
                 signature={"chunks": 4},
             )
 
     def test_journal_entries_survive_worker_chaos(self, tmp_path):
+        if self.executor != "process":
+            pytest.skip("worker chaos needs the process pool")
         path = tmp_path / "shards.jsonl"
         faults = WorkerFaults(kill_rate=0.8, stall_rate=0.0, seed=5)
-        chaotic = run_shards(
+        chaotic = self.run_shards(
             _square, list(range(8)), max_workers=2, journal=path,
             worker_faults=faults,
         )
@@ -281,12 +345,40 @@ class TestShardJournal:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
-        result = run_shards(
+        result = self.run_shards(
             _square, list(range(5)), max_workers=2,
             journal=tmp_path / "shards.jsonl",
         )
         assert result.results == [x * x for x in range(5)]
         assert len(synced) == 5
+
+
+class TestShardJournalSerial(_SerialLane, TestShardJournal):
+    pass
+
+
+class TestShardJournalThreads(_ThreadLane, TestShardJournal):
+    pass
+
+
+class TestShardTimeout:
+    def test_stuck_worker_is_killed_at_the_deadline(self):
+        started = time.monotonic()
+        result = run_shards(
+            _stuck_one,
+            [0, 1, 2],
+            max_workers=2,
+            shard_timeout=0.3,
+            strict=False,
+            max_shard_failures=1,
+        )
+        elapsed = time.monotonic() - started
+        assert result.results == [0, None, 2]
+        (failure,) = result.failures
+        assert failure.index == 1
+        assert failure.error_type == "TimeoutError"
+        # Killed at its deadline, not waited out for its 30 s sleep.
+        assert elapsed < 10.0
 
 
 _DRIVER_SCRIPT = textwrap.dedent(
@@ -510,3 +602,5 @@ class TestEndToEndParity:
     def test_worker_faults_require_process_executor(self, market):
         with pytest.raises(ValueError, match="process"):
             self._sweep(market, worker_faults=WorkerFaults(seed=0))
+        with pytest.raises(ValueError, match="process"):
+            self._sweep(market, item_timeout=5.0)

@@ -21,11 +21,7 @@ from repro.core.distcache import (
 )
 from repro.core.types import BidKind, JobSpec
 from repro.market.fastpath import fast_onetime_outcome, fast_persistent_outcome
-from repro.sweep import (
-    map_traces,
-    onetime_sweep_kernel,
-    persistent_sweep_kernel,
-)
+from repro.sweep import onetime_sweep_kernel, persistent_sweep_kernel
 from repro.traces.history import SpotPriceHistory
 
 TK = DEFAULT_SLOT_HOURS
@@ -178,14 +174,53 @@ class TestEngine:
         assert report.shape == (1, 1)
         assert bool(report.completed[0, 0])
 
-    def test_map_traces_preserves_order(self):
-        items = list(range(20))
-        assert map_traces(lambda x: x * x, items) == [x * x for x in items]
-        assert map_traces(
-            lambda x: x * x, items, max_workers=4
-        ) == [x * x for x in items]
-        with pytest.raises(ValueError):
-            map_traces(lambda x: x, items, max_workers=2, executor="bogus")
+    @pytest.mark.parametrize(
+        "lane",
+        [
+            {},
+            {"max_workers": 2},
+            {"executor": "process", "max_workers": 2},
+        ],
+        ids=["serial", "thread", "process"],
+    )
+    @pytest.mark.parametrize(
+        "bids,kernel,match",
+        [
+            ([-0.1], None, "bid -0.1 "),
+            ([0.05, np.nan], None, "bid nan "),
+            ([], None, "at least one bid"),
+            ([0.05], "bogus", "REPRO_SWEEP_KERNEL"),
+        ],
+        ids=["negative-bid", "nan-bid", "no-bids", "bogus-kernel"],
+    )
+    def test_bad_input_is_rejected_before_dispatch(
+        self, lane, bids, kernel, match, monkeypatch
+    ):
+        """Bad bids and an unknown kernel family raise MarketError on
+        every lane, not a shard failure after the pool retried them."""
+        from repro.errors import MarketError
+
+        if kernel is not None:
+            monkeypatch.setenv("REPRO_SWEEP_KERNEL", kernel)
+        traces = [np.full(24, 0.03)] * 16
+        with pytest.raises(MarketError, match=match):
+            run_sweep(traces, bids, JobSpec(1.0), **lane)
+
+    def test_unknown_executor_is_rejected(self):
+        with pytest.raises(ValueError, match="executor"):
+            run_sweep(np.full(24, 0.03), 0.05, JobSpec(1.0), executor="bogus")
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_worker_count_below_one_is_rejected(self, executor):
+        from repro.errors import SweepExecutionError
+
+        traces = [np.full(24, 0.03)] * 4
+        for workers in (0, -3):
+            with pytest.raises(SweepExecutionError, match="max_workers"):
+                run_sweep(
+                    traces, 0.05, JobSpec(1.0),
+                    executor=executor, max_workers=workers,
+                )
 
 
 class TestReport:

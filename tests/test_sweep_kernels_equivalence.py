@@ -264,17 +264,18 @@ class TestEdgeCases:
             0.1,
             1.0,
         )
+        # A sweep reads the switch once and ships the mode in each chunk.
         monkeypatch.setenv("REPRO_SWEEP_KERNEL", "reference")
-        ref = engine._run_kernel_chunk(args)
+        ref = engine._run_kernel_chunk(args + (engine._kernel_mode(),))
         monkeypatch.setenv("REPRO_SWEEP_KERNEL", "event")
-        event = engine._run_kernel_chunk(args)
+        event = engine._run_kernel_chunk(args + (engine._kernel_mode(),))
         for field in FIELDS:
             assert np.array_equal(ref[field], event[field], equal_nan=True)
         # The chunk runner reports worker-local cache deltas either way.
         assert {"cache_hits", "cache_misses"} <= set(event)
         monkeypatch.setenv("REPRO_SWEEP_KERNEL", "warp")
         with pytest.raises(MarketError, match="REPRO_SWEEP_KERNEL"):
-            engine._run_kernel_chunk(args)
+            engine._kernel_mode()
 
     def test_slots_simulated_counts_lane_events(self):
         # Two bids with the same acceptance count collapse to one lane:

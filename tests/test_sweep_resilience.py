@@ -6,10 +6,9 @@ import pytest
 
 from repro.core.types import JobSpec, Strategy
 from repro.errors import SweepExecutionError
-from repro.resilience.execution import BackoffPolicy, SweepJournal
+from repro.resilience.execution import SweepJournal
 from repro.resilience.faults import FaultInjector, PriceSpike, SlotDropout
 from repro.sweep import engine, run_sweep
-from repro.sweep.engine import map_traces
 
 
 @pytest.fixture
@@ -43,10 +42,7 @@ class TestPartialReport:
             return original(args)
 
         monkeypatch.setattr(engine, "_run_kernel_chunk", flaky)
-        report = run_sweep(
-            traces, BIDS, job, strict=False,
-            backoff=BackoffPolicy(base_delay=0.0),
-        )
+        report = run_sweep(traces, BIDS, job, strict=False)
 
         assert report.is_partial
         assert report.failed_traces() == (7, 42)
@@ -74,7 +70,10 @@ class TestPartialReport:
 
         monkeypatch.setattr(engine, "_run_kernel_chunk", always_fail)
         with pytest.raises(SweepExecutionError):
-            run_sweep(traces[:3], BIDS, job, strict=True, item_timeout=5.0)
+            run_sweep(
+                traces[:3], BIDS, job, strict=True, item_timeout=5.0,
+                executor="process",
+            )
 
     def test_retry_recovers_transient_faults(self, job, traces, monkeypatch):
         clean = run_sweep(traces[:10], BIDS, job)
@@ -88,10 +87,7 @@ class TestPartialReport:
             return original(args)
 
         monkeypatch.setattr(engine, "_run_kernel_chunk", transient)
-        report = run_sweep(
-            traces[:10], BIDS, job, retries=3,
-            backoff=BackoffPolicy(base_delay=0.0),
-        )
+        report = run_sweep(traces[:10], BIDS, job, retries=3)
         assert not report.is_partial
         assert np.array_equal(report.cost, clean.cost)
 
@@ -173,31 +169,3 @@ class TestFaultedSweep:
         )
         assert clean.completed.all()
         assert not faulted.completed.all()
-
-    def test_legacy_path_untouched_by_default(self, job, traces, monkeypatch):
-        # With no resilience options, run_sweep must not import the
-        # resilience machinery at all.
-        def explode(*_a, **_k):  # pragma: no cover - must not run
-            raise AssertionError("resilient path activated unexpectedly")
-
-        import repro.resilience.execution as execution
-
-        monkeypatch.setattr(execution, "run_items", explode)
-        report = run_sweep(traces[:5], BIDS, job)
-        assert report.failures == ()
-
-
-class TestMapTracesResilience:
-    def test_return_failures_gives_execution_result(self):
-        result = map_traces(lambda x: x + 1, [1, 2], return_failures=True)
-        assert result.results == [2, 3]
-        assert result.ok
-
-    def test_non_strict_collects_failures(self):
-        def fn(x):
-            if x == 1:
-                raise ValueError("nope")
-            return x
-
-        results = map_traces(fn, [0, 1, 2], strict=False)
-        assert results == [0, None, 2]
