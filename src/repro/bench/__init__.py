@@ -1,10 +1,10 @@
 """Kernel benchmark harness: the repo's recorded perf trajectory.
 
-``repro-bid bench`` runs the canonical sweep-kernel workloads in
-:mod:`repro.bench.cases` against both kernel families (event-driven and
-dense reference), verifies their outputs are bitwise identical while the
-clock is running honest, and emits a versioned ``BENCH_sweep.json``
-snapshot.  :mod:`repro.bench.compare` gates changes: a run whose speedup
+``repro-bid bench`` runs the canonical workloads in
+:mod:`repro.bench.cases`, each batched kernel against its scalar oracle
+(event vs reference lane), verifies their outputs are bitwise identical
+while the clock is running honest, and emits a versioned
+``BENCH_sweep.json`` snapshot.  :mod:`repro.bench.compare` gates changes: a run whose speedup
 falls more than the tolerance below the committed baseline fails.
 """
 

@@ -355,7 +355,7 @@ class ExtensionBenchCase:
     (:mod:`repro.extensions.kernels`).
 
     The contender is the batched kernel named by ``kernel`` (a
-    ``_EXT_KERNELS`` dispatch key); the reference timing is its retained
+    ``_EXT_KERNELS`` pair-table key); the reference timing is its retained
     ``*_reference`` scalar oracle on identical inputs.  The runner
     asserts the two lanes' result dicts compare bitwise equal before any
     speedup is reported — the same gate the sweep and MapReduce lanes
@@ -363,7 +363,7 @@ class ExtensionBenchCase:
     """
 
     name: str
-    #: Dispatch-table key into ``repro.extensions.kernels._EXT_KERNELS``.
+    #: Pair-table key into ``repro.extensions.kernels._EXT_KERNELS``.
     kernel: str
     #: Observations in the fitted empirical price distribution.
     n_obs: int

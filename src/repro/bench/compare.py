@@ -1,8 +1,8 @@
 """Benchmark regression gating.
 
 Compares a fresh ``repro.bench/1`` report against a committed baseline.
-The gated metric is the *speedup* of the event kernels over the
-reference kernels — a machine-relative ratio, so a slower CI box doesn't
+The gated metric is the *speedup* of each event kernel over its
+reference lane, the scalar oracle — a machine-relative ratio, so a slower CI box doesn't
 fail the gate while a real kernel regression does.  A case regresses
 when its speedup drops more than ``tolerance`` (default 20%) below the
 baseline's, or when its outputs stopped being bitwise identical (always

@@ -1,13 +1,18 @@
-"""Benchmark execution: both kernel families, verified and timed.
+"""Benchmark execution: each batched kernel against its scalar oracle.
 
-Every case runs the dense reference kernel and the event-driven kernel
-on identical inputs, takes the best wall time over ``repeats`` runs
-(minimum — the least-noise estimator for CPU-bound work) after one
-untimed warmup (so cache and allocator effects never pollute the
-timings), and checks the two result sets are bitwise identical before
-any number is reported.  A benchmark that reports a speedup for a
-kernel producing different answers would be worse than no benchmark at
-all.
+Every case runs a batched kernel (the "event" lane) and the scalar
+oracle that specifies it (the "reference" lane) on identical inputs —
+the sweep kernels against :mod:`repro.market.fastpath` cell by cell,
+the MapReduce grid kernel against
+:func:`~repro.mapreduce.runner.run_plan_on_traces`, each Section 8
+kernel against its ``*_reference`` oracle — takes the best wall time
+over ``repeats`` runs (minimum — the least-noise estimator for
+CPU-bound work) after one untimed warmup (so cache and allocator
+effects never pollute the timings), and checks the two result sets are
+bitwise identical before any number is reported.  The serve and
+scheduler cases compare a fast path with its slow path the same way.
+A benchmark that reports a speedup for a kernel producing different
+answers would be worse than no benchmark at all.
 
 The report schema is versioned (``repro.bench/1``) so future trajectory
 points remain machine-readable next to this one.
@@ -15,6 +20,7 @@ points remain machine-readable next to this one.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import statistics
@@ -36,12 +42,12 @@ from ..core.types import Strategy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..mapreduce.grid import MapReduceGridResult
-from ..sweep.kernels import (
-    onetime_sweep_kernel,
-    onetime_sweep_kernel_reference,
-    persistent_sweep_kernel,
-    persistent_sweep_kernel_reference,
+from ..market.fastpath import (
+    fast_onetime_outcome,
+    fast_persistent_outcome,
+    outcome_grid,
 )
+from ..sweep.kernels import onetime_sweep_kernel, persistent_sweep_kernel
 from .cases import (
     BenchCase,
     ExtensionBenchCase,
@@ -55,7 +61,7 @@ __all__ = ["SCHEMA", "run_benchmarks"]
 
 SCHEMA = "repro.bench/1"
 
-#: Result fields that must match bitwise between kernel families.
+#: Result fields that must match bitwise between a kernel and its oracle.
 _FIELDS = (
     "completed",
     "cost",
@@ -78,44 +84,26 @@ def _machine_info() -> Dict[str, object]:
 
 
 def _kernel_callable(case: BenchCase, reference: bool) -> Callable[..., dict]:
+    """One lane of a sweep case: the event kernel, or its scalar oracle
+    run cell by cell (:func:`~repro.market.fastpath.outcome_grid`)."""
+    kwargs = {"work": case.work, "slot_length": case.slot_length}
     if case.strategy is Strategy.ONE_TIME:
-        kernel = (
-            onetime_sweep_kernel_reference if reference else onetime_sweep_kernel
-        )
-
-        def run(
-            prices: np.ndarray,
-            bids: np.ndarray,
-            n_valid: Optional[np.ndarray],
-        ) -> dict:
-            return kernel(
-                prices,
-                bids,
-                work=case.work,
-                slot_length=case.slot_length,
-                n_valid=n_valid,
-            )
-
+        kernel: Callable[..., dict] = onetime_sweep_kernel
+        oracle: Callable[..., Any] = fast_onetime_outcome
     else:
-        kernel = (
-            persistent_sweep_kernel_reference
-            if reference
-            else persistent_sweep_kernel
-        )
+        kernel, oracle = persistent_sweep_kernel, fast_persistent_outcome
+        kwargs["recovery_time"] = case.recovery_time
 
-        def run(
-            prices: np.ndarray,
-            bids: np.ndarray,
-            n_valid: Optional[np.ndarray],
-        ) -> dict:
-            return kernel(
-                prices,
-                bids,
-                work=case.work,
-                recovery_time=case.recovery_time,
-                slot_length=case.slot_length,
-                n_valid=n_valid,
-            )
+    fn: Callable[..., dict] = (
+        functools.partial(outcome_grid, oracle) if reference else kernel
+    )
+
+    def run(
+        prices: np.ndarray,
+        bids: np.ndarray,
+        n_valid: Optional[np.ndarray],
+    ) -> dict:
+        return fn(prices, bids, n_valid=n_valid, **kwargs)
 
     return run
 
@@ -178,9 +166,8 @@ def _extension_callable(
 ) -> Callable[..., dict]:
     """One lane of an extension-kernel case.
 
-    Resolves the (kernel, oracle) pair from the same dispatch table
-    ``select_ext_kernel`` serves, so the bench times exactly what
-    production dispatches.
+    Resolves the (kernel, oracle) pair from the pair table in
+    :mod:`repro.extensions.kernels`.
     """
     from ..extensions.kernels import extension_kernel_pair
 

@@ -5,9 +5,9 @@ this package machine-checks them on every commit instead:
 
 * **determinism** — simulations replay exactly from explicit seeds
   (RB101);
-* **kernel⇄oracle parity** — every batched kernel registered in the
-  ``REPRO_SWEEP_KERNEL`` dispatch tables keeps its reference oracle, a
-  randomized exact-equivalence test and a bench case (RB201);
+* **kernel⇄oracle parity** — every batched kernel keeps its one scalar
+  oracle, a randomized exact-equivalence test and a bench case and
+  lane (RB201);
 * **numeric & lifecycle hygiene** — the ``REPRO_*`` env registry
   (RB301), the float-equality policy (RB401), shared-memory lifetimes
   (RB501) and the public API surface (RB601).

@@ -163,7 +163,7 @@ class _ScanSet:
     Files the incremental cache skipped are registered with
     :meth:`register_lazy`; they count toward ``len()`` immediately but
     are only read and parsed if a project rule actually asks for their
-    :class:`FileContext` (e.g. RB201 pulling the sweep engine's AST).
+    :class:`FileContext` (e.g. RB201 pulling the fastpath oracle's AST).
     """
 
     def __init__(self) -> None:

@@ -8,7 +8,7 @@ reused, so suppression comments stay meaningful across versions):
 id        name                  guards
 ========  ====================  ==========================================
 RB101     determinism           no global RNG state / wall-clock reads
-RB201     kernel-parity         dispatch-table kernels keep oracle+test+bench
+RB201     kernel-parity         every kernel keeps its oracle+test+bench
 RB301     env-var-registry      REPRO_* reads go through repro.constants
 RB401     float-equality        exact parity tests; no nonzero float ==
 RB501     shm-lifecycle         shared memory scoped by with / try-finally

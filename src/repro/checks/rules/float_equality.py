@@ -31,7 +31,6 @@ from ._common import dotted_name, is_test_path
 #: Modules whose exact float comparisons define the reference semantics.
 ORACLE_MODULES = (
     "repro/sweep/kernels.py",
-    "repro/sweep/events.py",
     "repro/mapreduce/kernels.py",
     "repro/mapreduce/runner.py",
     "repro/market/fastpath.py",

@@ -18,9 +18,10 @@ Subcommands
                per-fault-class cost/completion degradation; with
                ``--kill-workers``, crash/stall the scheduler's worker
                pool instead and check results stay bitwise identical.
-``bench``      Benchmark the sweep kernels (event vs reference), emit a
-               ``BENCH_*.json`` trajectory point, and gate regressions
-               against a committed baseline.
+``bench``      Benchmark each batched kernel against its scalar oracle
+               (event vs reference lane), emit a ``BENCH_*.json``
+               trajectory point, and gate regressions against a
+               committed baseline.
 ``check``      Run the repo-aware static-analysis suite (``repro.checks``:
                determinism, kernel-oracle parity, numeric hygiene).
 ``catalog``    List the built-in instance types.
@@ -333,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark the sweep kernels and gate regressions"
+        "bench",
+        help="benchmark each batched kernel against its scalar oracle "
+        "and gate regressions",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -962,7 +965,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     broken = [row["name"] for row in report["cases"] if not row["bitwise_equal"]]
     if broken:
         print(
-            f"error: event kernels diverged from reference on: "
+            f"error: event kernels diverged from their oracles on: "
             f"{', '.join(broken)}",
             file=sys.stderr,
         )

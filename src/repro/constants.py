@@ -6,7 +6,7 @@ all durations in hours, matching the units used throughout the paper
 
 Behaviour switches read from the process environment are declared here,
 once, as :class:`EnvVar` entries in :data:`ENV_VARS`.  Everything else in
-the package goes through these entries (``SWEEP_KERNEL.get()``) instead
+the package goes through these entries (``DIST_CACHE_SIZE.get()``) instead
 of touching ``os.environ`` directly — the ``repro.checks`` rule ``RB301``
 enforces this, and the registry is the source of truth for the variable
 table in ``docs/development.md``.
@@ -100,20 +100,6 @@ class EnvVar(Generic[_T]):
         return self.parse(raw)
 
 
-#: Kernel families accepted by :data:`SWEEP_KERNEL`.
-SWEEP_KERNEL_MODES: Tuple[str, ...] = ("event", "reference")
-
-
-def _parse_sweep_kernel(raw: str) -> str:
-    mode = raw.lower()
-    if mode in SWEEP_KERNEL_MODES:
-        return mode
-    allowed = ", ".join(repr(m) for m in SWEEP_KERNEL_MODES)
-    raise EnvVarError(
-        f"REPRO_SWEEP_KERNEL must be one of {allowed}, got {raw!r}"
-    )
-
-
 def _parse_dist_cache_size(raw: str) -> int:
     try:
         value = int(raw)
@@ -127,18 +113,6 @@ def _parse_dist_cache_size(raw: str) -> int:
         )
     return value
 
-
-#: Kernel-family switch shared by the sweep engine and the MapReduce
-#: plan grid: ``event`` (default) runs the event-driven kernels,
-#: ``reference`` the dense/scalar oracle paths.
-SWEEP_KERNEL: "EnvVar[str]" = EnvVar(
-    name="REPRO_SWEEP_KERNEL",
-    default="event",
-    parse=_parse_sweep_kernel,
-    description="Kernel family used by repro.sweep and repro.mapreduce "
-    "grids: the event-driven kernels or the dense/scalar oracle path.",
-    values="event (default) | reference",
-)
 
 #: Bound on the process-local memoized-distribution cache
 #: (:mod:`repro.core.distcache`).
@@ -348,7 +322,6 @@ CVAR_WINDOWS: "EnvVar[int]" = EnvVar(
 ENV_VARS: Mapping[str, "EnvVar[object]"] = {
     var.name: var
     for var in (
-        SWEEP_KERNEL,
         DIST_CACHE_SIZE,
         SERVE_PORT,
         SERVE_TABLE_GRID,

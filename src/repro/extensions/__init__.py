@@ -3,8 +3,8 @@ correlated prices, collective (multi-user) bidding, dependent-task (DAG)
 bidding, and the portfolio / CVaR workloads built on top.
 
 Every extension's grid evaluation routes through the batched kernels in
-:mod:`repro.extensions.kernels` (``REPRO_SWEEP_KERNEL`` selects the
-vectorized fast path or the retained scalar oracles).
+:mod:`repro.extensions.kernels`, each held bitwise equal to its retained
+scalar ``*_reference`` oracle by the tests and the bench.
 """
 
 from .collective import (
@@ -42,7 +42,7 @@ from .forecasting import (
     forecast_bid,
     forecast_sweep,
 )
-from .kernels import extension_kernel_pair, select_ext_kernel
+from .kernels import extension_kernel_pair
 from .portfolio import (
     cvar_bid,
     cvar_from_costs,
@@ -89,7 +89,6 @@ __all__ = [
     "forecast_bid",
     "forecast_sweep",
     "extension_kernel_pair",
-    "select_ext_kernel",
     "cvar_bid",
     "cvar_from_costs",
     "optimal_portfolio_bid",

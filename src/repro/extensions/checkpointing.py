@@ -29,7 +29,7 @@ import numpy as np
 from ..core.types import BidDecision, BidKind, JobSpec
 from ..core.distributions import PriceDistribution
 from ..errors import InfeasibleBidError
-from .kernels import select_ext_kernel
+from .kernels import checkpoint_grid_kernel
 
 __all__ = [
     "CheckpointPolicy",
@@ -152,7 +152,7 @@ def best_capped_bid(
     from ..core import costs as cost_fns
 
     candidates, cap = _capped_candidates(dist, max_bid)
-    cost = select_ext_kernel("checkpoint_grid")(dist, candidates, [job])["cost"][0]
+    cost = checkpoint_grid_kernel(dist, candidates, [job])["cost"][0]
     best = int(np.argmin(cost))
     best_value = float(cost[best])
     if math.isinf(best_value):
@@ -232,7 +232,7 @@ def optimize_checkpoint_interval(
         raise InfeasibleBidError(
             "no checkpoint interval admits a feasible persistent bid"
         ) from None
-    cost = select_ext_kernel("checkpoint_grid")(dist, candidates, jobs)["cost"]
+    cost = checkpoint_grid_kernel(dist, candidates, jobs)["cost"]
     row_best = cost.min(axis=1)
     if not np.isfinite(row_best).any():
         raise InfeasibleBidError(

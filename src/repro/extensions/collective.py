@@ -35,7 +35,7 @@ from ..core.types import JobSpec
 from ..errors import DistributionError
 from ..provider.arrivals import ArrivalProcess
 from ..provider.pricing import validate_price_band
-from .kernels import select_ext_kernel
+from .kernels import collective_slot_kernel
 
 __all__ = ["StrategicClass", "CollectiveRound", "CollectiveOutcome", "iterate_collective_bidding"]
 
@@ -132,9 +132,8 @@ def _simulate_prices(
     # next), but the per-slot candidate scan runs through the batched
     # ``collective_slot`` kernel; ``argmax`` first-occurrence ties
     # reproduce the scalar loop's strict-inequality scan.
-    kernel = select_ext_kernel("collective_slot")
     for t in range(n_slots):
-        scan = kernel(
+        scan = collective_slot_kernel(
             cand,
             strategic_bids,
             weights,

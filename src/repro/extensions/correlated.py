@@ -30,7 +30,7 @@ from ..core import costs
 from ..core.distributions import PriceDistribution
 from ..core.types import JobSpec
 from ..errors import DistributionError
-from .kernels import select_ext_kernel
+from .kernels import persistence_grid_kernel
 
 __all__ = [
     "autocorrelation",
@@ -98,8 +98,8 @@ def lag1_persistence_grid(
     accepted by any bid) or an already-padded 2-D matrix with per-row
     valid counts in ``n_valid``.  Returns the ``(n_traces, n_bids)``
     persistence matrix the Markov interruption model consumes, evaluated
-    through the ``persistence_grid`` kernel (vectorized by default,
-    scalar oracle under ``REPRO_SWEEP_KERNEL=reference``).
+    through the batched
+    :func:`~repro.extensions.kernels.persistence_grid_kernel`.
     """
     if isinstance(traces, np.ndarray) and traces.ndim == 2:
         matrix = np.asarray(traces, dtype=float)
@@ -119,8 +119,9 @@ def lag1_persistence_grid(
         for i, row in enumerate(rows):
             matrix[i, : row.size] = row
             counts[i] = row.size
-    kernel = select_ext_kernel("persistence_grid")
-    return kernel(matrix, np.asarray(bids, dtype=float), counts)["rho"]
+    return persistence_grid_kernel(
+        matrix, np.asarray(bids, dtype=float), counts
+    )["rho"]
 
 
 def expected_interruptions_markov(

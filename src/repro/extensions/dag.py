@@ -35,7 +35,7 @@ from ..market.price_sources import TracePriceSource
 from ..market.requests import RequestState
 from ..market.simulator import SpotMarket
 from ..traces.history import SpotPriceHistory
-from .kernels import select_ext_kernel
+from .kernels import dag_grid_kernel
 
 __all__ = [
     "TaskGraph",
@@ -138,7 +138,7 @@ def _batch_persistent_decisions(
     if not scan_specs:
         return decisions
     full = candidate_prices(dist, dist.lower)
-    cost = select_ext_kernel("dag_grid")(dist, full, scan_specs)["cost"]
+    cost = dag_grid_kernel(dist, full, scan_specs)["cost"]
     for i, spec in enumerate(scan_specs):
         low = _feasible_lower_bound(dist, spec)
         mask = full >= low - 1e-15
@@ -214,8 +214,8 @@ def sweep_dag_plan(
     """Score a DAG plan's bids against future traces on the sweep engine.
 
     Each task's planned bid is evaluated across the whole trace stack in
-    one :func:`repro.sweep.engine.run_sweep` call (vectorized kernels,
-    ``REPRO_SWEEP_KERNEL`` dispatch, shared distribution cache) — the
+    one :func:`repro.sweep.engine.run_sweep` call (event-driven kernels,
+    shared distribution cache) — the
     batched counterpart of looping :func:`run_dag_on_trace` over traces.
     Sweeps treat tasks independently (each from its trace's start), so
     the totals bound the staged protocol's cost from below; use

@@ -196,8 +196,8 @@ def forecast_sweep(
     :class:`~repro.sweep.report.SweepReport` of sweeping ``bids``
     (default: just the chosen price) across the ``futures`` trace stack
     with :func:`repro.sweep.engine.run_sweep` — the same batched kernels
-    (and ``REPRO_SWEEP_KERNEL`` dispatch) every other engine uses, so
-    the forecasting ablation inherits their bitwise-tested fast path.
+    every other engine uses, so the forecasting ablation inherits their
+    bitwise-tested fast path.
     """
     from ..sweep.engine import run_sweep
 

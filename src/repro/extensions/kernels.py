@@ -7,11 +7,9 @@ job/trace stacks, mirroring the ``repro.sweep.kernels`` /
 ``*_reference`` oracle that reproduces the original per-candidate
 arithmetic operation for operation, and the randomized equivalence suite
 (``tests/test_ext_kernels.py``) asserts bitwise equality between the two
-on every output array.
-
-Dispatch is shared with the sweep engine: ``REPRO_SWEEP_KERNEL=event``
-(the default) selects the vectorized kernels, ``reference`` the scalar
-oracles — one knob flips every engine in the repo onto its oracle path.
+on every output array.  The extensions always call the vectorized
+kernels; the oracles run only where the two are compared — the tests
+and ``repro-bid bench``, which finds each pair in :data:`_EXT_KERNELS`.
 
 The vectorized kernels reach bitwise equality by evaluating the *same*
 float64 operations in the *same* order as the scalar code, elementwise:
@@ -34,10 +32,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
-from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.distributions import PriceDistribution
 from ..core.types import JobSpec
-from ..errors import DistributionError, MarketError, PlanError
+from ..errors import DistributionError, PlanError
 
 __all__ = [
     "risk_scan_kernel",
@@ -57,7 +54,6 @@ __all__ = [
     "portfolio_grid_kernel",
     "portfolio_grid_kernel_reference",
     "extension_kernel_pair",
-    "select_ext_kernel",
 ]
 
 
@@ -734,13 +730,13 @@ def portfolio_grid_kernel(
 
 
 # ----------------------------------------------------------------------
-# Dispatch
+# Kernel ⇄ oracle pairs
 # ----------------------------------------------------------------------
 
-#: Kernel dispatch table: key → (vectorized kernel, scalar oracle).
-#: Parsed statically by the RB201 kernel-parity rule — every entry must
-#: keep its ``*_reference`` oracle, a randomized equivalence test, and
-#: bench coverage.
+#: Pair table: key → (vectorized kernel, scalar oracle).  Parsed
+#: statically by the RB201 kernel-parity rule — every entry must keep
+#: its ``*_reference`` oracle, a randomized equivalence test, and bench
+#: coverage.
 _EXT_KERNELS: Dict[str, Tuple[Callable[..., dict], Callable[..., dict]]] = {
     "risk_scan": (risk_scan_kernel, risk_scan_kernel_reference),
     "deadline_scan": (deadline_scan_kernel, deadline_scan_kernel_reference),
@@ -756,19 +752,7 @@ _EXT_KERNELS: Dict[str, Tuple[Callable[..., dict], Callable[..., dict]]] = {
 def extension_kernel_pair(
     name: str,
 ) -> Tuple[Callable[..., dict], Callable[..., dict]]:
-    """The (vectorized, oracle) pair for a dispatch key — used by the
+    """The (vectorized, oracle) pair for a pair-table key — used by the
     bench runner to time both lanes on identical inputs."""
     return _EXT_KERNELS[name]
 
-
-def select_ext_kernel(name: str) -> Callable[..., dict]:
-    """The kernel the ``REPRO_SWEEP_KERNEL`` knob selects for ``name``:
-    the vectorized kernel under ``event`` (default), the scalar oracle
-    under ``reference`` — the same switch the sweep and MapReduce
-    engines honor, so one env var flips the whole repo."""
-    try:
-        mode = SWEEP_KERNEL.get()
-    except EnvVarError as exc:
-        raise MarketError(str(exc)) from None
-    fast, reference = _EXT_KERNELS[name]
-    return reference if mode == "reference" else fast

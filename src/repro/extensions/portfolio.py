@@ -48,7 +48,7 @@ from ..core.types import (
 )
 from ..errors import InfeasibleBidError, PlanError
 from ..traces.history import SpotPriceHistory
-from .kernels import select_ext_kernel
+from .kernels import portfolio_grid_kernel
 
 __all__ = [
     "portfolio_frontier",
@@ -70,8 +70,8 @@ def portfolio_frontier(
 
     Returns ``{"fractions", "candidates", "cost", "variance"}`` with
     ``cost`` and ``variance`` shaped ``(n_fractions, n_candidates)``,
-    evaluated through the ``portfolio_grid`` kernel (vectorized by
-    default, scalar oracle under ``REPRO_SWEEP_KERNEL=reference``).
+    evaluated through the batched
+    :func:`~repro.extensions.kernels.portfolio_grid_kernel`.
     Infeasible cells (spot work not exceeding the recovery time, or a
     bid violating eq. 14) hold ``inf``.
     """
@@ -88,7 +88,7 @@ def portfolio_frontier(
         if candidates is None
         else np.asarray(candidates, dtype=float)
     )
-    grid = select_ext_kernel("portfolio_grid")(
+    grid = portfolio_grid_kernel(
         dist,
         cand,
         job,

@@ -27,7 +27,7 @@ from ..core.distributions import PriceDistribution
 from ..core.persistent import candidate_prices, minimize_cost_over_candidates
 from ..core.types import BidDecision, BidKind, JobSpec
 from ..errors import InfeasibleBidError
-from .kernels import select_ext_kernel
+from .kernels import deadline_scan_kernel, risk_scan_kernel
 
 __all__ = [
     "conditional_price_variance",
@@ -80,15 +80,15 @@ def variance_bounded_bid(
     survivors.  Raises :class:`InfeasibleBidError` when no bid satisfies
     both the variance bound and eq. 14.
 
-    The scan runs through the batched ``risk_scan`` kernel (vectorized
-    by default, scalar oracle under ``REPRO_SWEEP_KERNEL=reference``);
-    ``argmin`` first-occurrence ties reproduce the original loop's
+    The scan runs through the batched
+    :func:`~repro.extensions.kernels.risk_scan_kernel`; ``argmin``
+    first-occurrence ties reproduce the original loop's
     strict-inequality scan exactly.
     """
     if max_variance < 0:
         raise ValueError(f"max_variance must be non-negative, got {max_variance!r}")
     candidates = candidate_prices(dist, dist.lower)
-    scan = select_ext_kernel("risk_scan")(dist, candidates, job)
+    scan = risk_scan_kernel(dist, candidates, job)
     eligible = (scan["accept"] > 0.0) & (scan["variance"] <= max_variance)
     masked_cost = np.where(eligible, scan["cost"], np.inf)
     best = int(np.argmin(masked_cost))
@@ -168,7 +168,7 @@ def deadline_chance_bid(
             f"miss_probability must be in (0, 1), got {miss_probability!r}"
         )
     candidates = candidate_prices(dist, dist.lower)
-    scan = select_ext_kernel("deadline_scan")(dist, candidates, job, deadline)
+    scan = deadline_scan_kernel(dist, candidates, job, deadline)
     feasible = scan["miss"] <= miss_probability
     if not feasible.any():
         raise InfeasibleBidError(

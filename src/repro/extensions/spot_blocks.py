@@ -33,7 +33,7 @@ from ..core.onetime import optimal_onetime_bid
 from ..core.persistent import optimal_persistent_bid
 from ..core.types import JobSpec
 from ..errors import InfeasibleBidError, PlanError
-from .kernels import select_ext_kernel
+from .kernels import block_grid_kernel
 
 __all__ = [
     "PurchasingOption",
@@ -87,13 +87,11 @@ def block_cost_grid(
 
     Batches the covering/chaining rule of
     :func:`compare_purchasing_options` over many execution times in one
-    ``block_grid`` kernel call (vectorized by default, scalar oracle
-    under ``REPRO_SWEEP_KERNEL=reference``).  Returns ``{"cost",
-    "price"}`` arrays aligned with ``execution_times``.
+    :func:`~repro.extensions.kernels.block_grid_kernel` call.  Returns
+    ``{"cost", "price"}`` arrays aligned with ``execution_times``.
     """
     durations = list(block_durations or BLOCK_DURATIONS)
-    kernel = select_ext_kernel("block_grid")
-    return kernel(
+    return block_grid_kernel(
         dist.mean(),
         ondemand_price,
         durations,

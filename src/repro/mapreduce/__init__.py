@@ -1,14 +1,10 @@
 """MapReduce substrate: workloads, master-side scheduling, the
 dual-market runner used by the Section 7.2 experiments, and the batched
-plan-grid kernels that evaluate whole plan × run grids in one pass."""
+plan-grid kernel that evaluates whole plan × run grids in one pass."""
 
 from .grid import MapReduceGridResult, run_plan_grid
 from .job import MapReduceWorkload, WordCountWorkload
-from .kernels import (
-    TERMINATION_CODES,
-    mapreduce_grid_kernel,
-    mapreduce_grid_kernel_event,
-)
+from .kernels import TERMINATION_CODES, mapreduce_grid_kernel_event
 from .runner import (
     MapReduceRunResult,
     TerminationReason,
@@ -26,7 +22,6 @@ __all__ = [
     "TERMINATION_CODES",
     "MapReduceGridResult",
     "run_plan_grid",
-    "mapreduce_grid_kernel",
     "mapreduce_grid_kernel_event",
     "ondemand_baseline",
     "run_plan_on_traces",

@@ -7,12 +7,10 @@ start slot) triple — in one kernel call, returning a
 :class:`MapReduceGridResult` whose per-cell fields are bitwise
 identical to the scalar runner's.
 
-Kernel selection honours the same ``REPRO_SWEEP_KERNEL`` switch as the
-sweep engine: ``event`` (default) runs the event-driven kernel,
-``reference`` falls back to the scalar runner lane-by-lane — the oracle
-the batched kernels are verified against.  ``kernel=`` overrides the
-environment and additionally accepts ``"dense"`` for the dense batched
-kernel.
+``kernel="event"`` (the default) runs the event-driven kernel;
+``kernel="scalar"`` runs the scalar runner lane by lane — the oracle the
+kernel is verified against, by the equivalence tests and by
+``repro-bid bench``.
 
 Process fan-out ships the stacked master/slave price matrices zero-copy
 through two :class:`~repro.sweep.shm.SharedPriceStack` segments; the
@@ -37,15 +35,10 @@ from typing import (
 
 import numpy as np
 
-from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.types import MapReducePlan
-from ..errors import MarketError, PlanError
+from ..errors import MarketError, PlanError, SweepExecutionError
 from ..traces.history import SpotPriceHistory
-from .kernels import (
-    TERMINATION_CODES,
-    mapreduce_grid_kernel,
-    mapreduce_grid_kernel_event,
-)
+from .kernels import TERMINATION_CODES, mapreduce_grid_kernel_event
 from .runner import MapReduceRunResult, TerminationReason, run_plan_on_traces
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,11 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..resilience.faults import WorkerFaults
 
 __all__ = ["MapReduceGridResult", "run_plan_grid"]
-
-_BATCH_KERNELS = {
-    "dense": mapreduce_grid_kernel,
-    "event": mapreduce_grid_kernel_event,
-}
 
 _CODE_OF = {reason: code for code, reason in enumerate(TERMINATION_CODES)}
 
@@ -79,9 +67,9 @@ class MapReduceGridResult:
     slave_interruptions: np.ndarray
     master_restarts: np.ndarray
     termination: np.ndarray
-    #: Which kernel actually ran: "scalar", "dense" or "event".
+    #: Which lane ran: "event" (the kernel) or "scalar" (the oracle).
     kernel: str
-    #: Dense lane-slots or executed lane-events, per the kernel family.
+    #: Executed lane-events (event lane) or window lane-slots (scalar).
     slots_simulated: int
 
     @property
@@ -136,22 +124,6 @@ class MapReduceGridResult:
         }
 
 
-def _resolve_kernel(kernel: Optional[str]) -> str:
-    """Kernel key from the explicit argument or ``REPRO_SWEEP_KERNEL``."""
-    if kernel is not None:
-        if kernel not in ("scalar", "dense", "event"):
-            raise MarketError(
-                f"unknown MapReduce kernel {kernel!r}; "
-                "choose 'scalar', 'dense' or 'event'"
-            )
-        return kernel
-    try:
-        mode = SWEEP_KERNEL.get()
-    except EnvVarError as exc:
-        raise MarketError(str(exc)) from None
-    return "event" if mode == "event" else "scalar"
-
-
 def _as_sequence(value: Any, n_runs: int, what: str) -> List:
     if isinstance(value, (SpotPriceHistory, int, np.integer)):
         return [value] * n_runs
@@ -195,10 +167,10 @@ def _grid_worker(payload: Tuple[Any, ...]) -> Dict[str, Any]:
     """Process-pool entry: attach the shared stacks, run one lane chunk."""
     from ..sweep.shm import open_stack
 
-    m_desc, s_desc, lanes, slot_length, cap, kernel = payload
+    m_desc, s_desc, lanes, slot_length, cap = payload
     m_prices, _ = open_stack(m_desc)
     s_prices, _ = open_stack(s_desc)
-    return _BATCH_KERNELS[kernel](
+    return mapreduce_grid_kernel_event(
         m_prices,
         s_prices,
         slot_length=slot_length,
@@ -225,7 +197,7 @@ def run_plan_grid(
     start_slots: Union[int, Sequence[int]] = 0,
     max_slots: Optional[int] = None,
     max_master_restarts: int = 50,
-    kernel: Optional[str] = None,
+    kernel: str = "event",
     max_workers: Optional[int] = None,
     journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
     worker_faults: "Optional[WorkerFaults]" = None,
@@ -238,12 +210,17 @@ def run_plan_grid(
     are exactly those of :func:`~repro.mapreduce.runner.run_plan_on_traces`
     with the same ``max_slots`` / ``max_master_restarts``.
 
-    ``kernel`` picks "scalar" (the oracle), "dense" or "event";
-    ``None`` follows ``REPRO_SWEEP_KERNEL``.  With a batched kernel and
-    ``max_workers > 1``, a ``journal`` or ``worker_faults``, lane chunks
-    fan out through the work-stealing scheduler
-    (:func:`repro.scheduler.run_shards`) — dynamic dispatch, straggler
-    speculation, crash respawn — and the two price stacks
+    ``kernel`` picks "event" (the batched kernel, the default) or
+    "scalar" (the oracle, lane by lane).  Every lane rejects the same
+    bad arguments before any work: ``max_workers < 1`` with
+    :class:`~repro.errors.SweepExecutionError`, as :func:`run_sweep`
+    does; ``max_slots < 1``, a negative start slot or
+    ``max_master_restarts < 0`` with :class:`~repro.errors.PlanError`.
+
+    On the event lane with ``max_workers > 1``, a ``journal`` or
+    ``worker_faults``, lane chunks fan out through the work-stealing
+    scheduler (:func:`repro.scheduler.run_shards`) — dynamic dispatch,
+    straggler speculation, crash respawn — and the two price stacks
     travel zero-copy via shared memory.  ``journal`` (a path or
     :class:`~repro.resilience.execution.SweepJournal`) makes the fan-out
     crash-consistent: finished chunks are fsync'd to disk and a re-run
@@ -251,6 +228,20 @@ def run_plan_grid(
     ``worker_faults`` injects seeded process-level chaos into the pool
     (results stay bitwise identical to the fault-free run).
     """
+    if kernel not in ("event", "scalar"):
+        raise MarketError(
+            f"unknown MapReduce kernel {kernel!r}; choose 'event' or 'scalar'"
+        )
+    if max_workers is not None and max_workers < 1:
+        raise SweepExecutionError(
+            f"max_workers must be >= 1, got {max_workers!r}"
+        )
+    if max_slots is not None and max_slots < 1:
+        raise PlanError(f"max_slots must be >= 1, got {max_slots!r}")
+    if max_master_restarts < 0:
+        raise PlanError(
+            f"max_master_restarts must be >= 0, got {max_master_restarts!r}"
+        )
     plan_list: List[MapReducePlan] = (
         [plans] if isinstance(plans, MapReducePlan) else list(plans)
     )
@@ -281,6 +272,8 @@ def run_plan_grid(
 
     budgets = np.empty(n_runs, dtype=np.int64)
     for j, (m_hist, s_hist, start) in enumerate(zip(m_list, s_list, starts)):
+        if start < 0:
+            raise PlanError(f"start_slot must be >= 0, got {start!r}")
         if (
             m_hist.slot_length != slot_length
             or s_hist.slot_length != slot_length
@@ -294,9 +287,7 @@ def run_plan_grid(
         budgets[j] = available if max_slots is None else min(max_slots, available)
 
     n_plans = len(plan_list)
-    chosen = _resolve_kernel(kernel)
-
-    if chosen == "scalar":
+    if kernel == "scalar":
         return _run_scalar(
             plan_list, m_list, s_list, starts, max_slots, max_master_restarts
         )
@@ -337,12 +328,12 @@ def run_plan_grid(
     if fan_out:
         raw = _run_fanout(
             m_matrix, m_valid, s_matrix, s_valid, lanes,
-            slot_length, max_master_restarts, chosen,
+            slot_length, max_master_restarts,
             max_workers if max_workers is not None else 1,
             journal, worker_faults,
         )
     else:
-        raw = _BATCH_KERNELS[chosen](
+        raw = mapreduce_grid_kernel_event(
             m_matrix,
             s_matrix,
             slot_length=slot_length,
@@ -362,7 +353,7 @@ def run_plan_grid(
         slave_interruptions=grid("slave_interruptions"),
         master_restarts=grid("master_restarts"),
         termination=grid("termination"),
-        kernel=chosen,
+        kernel="event",
         slots_simulated=int(raw["slots_simulated"]),
     )
 
@@ -429,7 +420,6 @@ def _run_fanout(
     lanes: Dict[str, np.ndarray],
     slot_length: float,
     max_master_restarts: int,
-    kernel: str,
     max_workers: int,
     journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
     worker_faults: "Optional[WorkerFaults]" = None,
@@ -464,7 +454,6 @@ def _run_fanout(
                 {key: arr[lo:hi] for key, arr in lanes.items()},
                 slot_length,
                 max_master_restarts,
-                kernel,
             )
             for lo, hi in spans
         ]
@@ -477,7 +466,9 @@ def _run_fanout(
             journal=journal,
             signature={
                 "kind": "mapreduce.grid",
-                "kernel": kernel,
+                # Kept in the signature existing journals were written
+                # with, so they still resume.
+                "kernel": "event",
                 "n_lanes": int(n_lanes),
                 "n_chunks": len(spans),
                 "slot_length": slot_length,

@@ -1,11 +1,11 @@
-"""Batched MapReduce plan-evaluation kernels (Section 6, vectorized).
+"""Batched MapReduce plan-evaluation kernel (Section 6, vectorized).
 
 :func:`~repro.mapreduce.runner.run_plan_on_traces` drives two
 ``SpotMarket`` objects slot-by-slot in pure Python — the right oracle,
 but figure 7, table 4 and the chaos harness evaluate whole *grids* of
 (master bid × slave bid × M × start slot) plans against stacks of trace
-pairs, so the scalar inner loop dominates their wall time.  The kernels
-here evaluate every lane of such a grid at once and are **bitwise
+pairs, so the scalar inner loop dominates their wall time.  The kernel
+here evaluates every lane of such a grid at once and is **bitwise
 identical** to the scalar runner on every result field.
 
 Two exact observations make the vectorization possible:
@@ -27,22 +27,15 @@ operation order; the master's per-attempt billing is folded at each
 down-edge so ``sum(outcome(attempt).cost)``'s left-fold is reproduced
 add-for-add.
 
-Two kernels share one lane layout (see :func:`mapreduce_grid_kernel`
-for the argument contract):
+:func:`mapreduce_grid_kernel_event` reuses the block scan of
+:mod:`repro.sweep.kernels` (the ``price <= bid`` threshold test) to
+walk only *accepted* slots per lane (with per-lane slot windows), in
+four stages: find each master's first up-slot, simulate the slave
+window, walk the master's billing/restart/completion events, then
+re-simulate the (rare) slave windows truncated by a master restart cap.
 
-- :func:`mapreduce_grid_kernel` — dense: one vectorized pass over
-  window slots, all live lanes in lockstep, early exit when every lane
-  has terminated.
-- :func:`mapreduce_grid_kernel_event` — event-driven: reuses the
-  block scan of :mod:`repro.sweep.events` (the ``price <= bid``
-  threshold test) to walk only *accepted* slots per lane (with per-lane
-  slot windows), in four stages: find each master's first up-slot,
-  simulate the slave window, walk the master's
-  billing/restart/completion events, then re-simulate the (rare) slave
-  windows truncated by a master restart cap.
-
-Grid-level orchestration (plan/trace normalization, the
-``REPRO_SWEEP_KERNEL`` switch, shared-memory process fan-out) lives in
+Grid-level orchestration (plan/trace normalization, the scalar oracle
+lane, shared-memory process fan-out) lives in
 :mod:`repro.mapreduce.grid`.
 """
 
@@ -53,13 +46,10 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..errors import MarketError
+from ..sweep.kernels import _BLOCK, _EPS, _block_events
 from .runner import TerminationReason
 
-__all__ = [
-    "TERMINATION_CODES",
-    "mapreduce_grid_kernel",
-    "mapreduce_grid_kernel_event",
-]
+__all__ = ["TERMINATION_CODES", "mapreduce_grid_kernel_event"]
 
 #: ``termination`` array codes, index-aligned with this tuple.
 TERMINATION_CODES: Tuple[TerminationReason, ...] = (
@@ -123,159 +113,6 @@ def _fold_slaves(
     return total, n_slaves * single_intr
 
 
-def mapreduce_grid_kernel(
-    master_prices: np.ndarray,
-    slave_prices: np.ndarray,
-    *,
-    lane_mrow: np.ndarray,
-    lane_srow: np.ndarray,
-    lane_start: np.ndarray,
-    lane_budget: np.ndarray,
-    lane_master_bid: np.ndarray,
-    lane_slave_bid: np.ndarray,
-    lane_slaves: np.ndarray,
-    lane_work: np.ndarray,
-    lane_recovery: np.ndarray,
-    slot_length: float,
-    max_master_restarts: int = 50,
-) -> Dict[str, np.ndarray]:
-    """Dense batched evaluation of a MapReduce plan grid.
-
-    One *lane* is one (plan, run) pair: ``lane_mrow``/``lane_srow``
-    select the master/slave trace rows, ``lane_start`` the absolute
-    start slot, ``lane_budget`` how many slots may be simulated
-    (already clipped to trace length and ``max_slots``), and the
-    remaining arrays carry the plan parameters (bids, slave count M,
-    per-slave work share, slave recovery time).  Returns per-lane
-    arrays bitwise identical to the scalar runner's
-    ``MapReduceRunResult`` fields plus a ``termination`` code array
-    (see :data:`TERMINATION_CODES`).
-    """
-    lanes = (
-        lane_mrow, lane_srow, lane_start, lane_budget, lane_master_bid,
-        lane_slave_bid, lane_slaves, lane_work, lane_recovery,
-    )
-    n_lanes = _check_lanes(
-        master_prices, slave_prices, lanes, slot_length, max_master_restarts
-    )
-    out = _result(n_lanes)
-    if n_lanes == 0:
-        return out
-    from ..sweep.kernels import _EPS
-
-    slot_len = float(slot_length)
-    cap_k = int(max_master_restarts)
-
-    terminated = np.zeros(n_lanes, dtype=bool)
-    term = out["termination"]
-    completed = out["completed"]
-    ct_out = out["completion_time"]
-    restarts = out["master_restarts"]
-
-    # Master: billing accumulator of the current attempt, folded total of
-    # finished attempts, resubmit count, previous-slot running flag.
-    m_acc = np.zeros(n_lanes)
-    m_tot = np.zeros(n_lanes)
-    m_downs = np.zeros(n_lanes, dtype=np.int64)
-    m_run_prev = np.zeros(n_lanes, dtype=bool)
-    submitted = np.zeros(n_lanes, dtype=bool)
-    t_sub = np.full(n_lanes, _NO_SLOT, dtype=np.int64)
-
-    # One representative slave per lane (all M are identical).
-    s_run = np.zeros(n_lanes, dtype=bool)
-    s_pend = np.zeros(n_lanes)
-    s_w = lane_work.astype(float).copy()
-    s_cost = np.zeros(n_lanes)
-    s_intr = np.zeros(n_lanes, dtype=np.int64)
-    s_done = np.zeros(n_lanes, dtype=bool)
-    s_ct = np.zeros(n_lanes)
-
-    events = 0
-    max_t = int(lane_budget.max())
-    for t in range(max_t):
-        active = ~terminated & (t < lane_budget)
-        n_act = int(np.count_nonzero(active))
-        if n_act == 0:
-            break
-        events += n_act
-        safe = np.where(active, lane_start + t, 0)
-        mp = master_prices[lane_mrow, safe]
-        sp = slave_prices[lane_srow, safe]
-
-        acc_m = active & (mp <= lane_master_bid)
-        down = m_run_prev & ~acc_m & active
-        cap = down & (m_downs >= cap_k)
-        m_acc = np.where(acc_m, m_acc + mp * slot_len, m_acc)
-        m_tot = np.where(down, m_tot + m_acc, m_tot)
-        m_acc = np.where(down, 0.0, m_acc)
-
-        # Slave step, in the engine's exact operation order: knock-back,
-        # recovery, work, per-slot billing, completion stamp.
-        adv = active & (t >= t_sub) & ~s_done
-        acc_s = adv & (sp <= lane_slave_bid)
-        knock = adv & s_run & ~acc_s
-        s_intr = s_intr + knock
-        s_pend = np.where(knock, lane_recovery, s_pend)
-        m1 = acc_s & (s_pend > 0.0)
-        step1 = np.where(m1, np.minimum(s_pend, slot_len), 0.0)
-        s_pend = s_pend - step1
-        budget_h = slot_len - step1
-        used = step1
-        m2 = acc_s & (budget_h > 0.0) & (s_w > 0.0)
-        step2 = np.where(m2, np.minimum(s_w, budget_h), 0.0)
-        s_w = s_w - step2
-        used = used + step2
-        used = np.where(acc_s & (s_w > _EPS), slot_len, used)
-        s_cost = np.where(acc_s, s_cost + sp * used, s_cost)
-        fin_now = acc_s & (s_w <= _EPS)
-        s_ct = np.where(fin_now, t * slot_len + used, s_ct)
-        s_done = s_done | fin_now
-        s_run = np.where(adv, acc_s, s_run)
-
-        # The (K+1)-th master failure terminates those lanes; earlier
-        # ones resubmit (counted) and skip the rest of the slot.
-        if cap.any():
-            terminated |= cap
-            term[cap] = _RESTARTS
-            restarts[cap] = m_downs[cap]
-        m_downs = m_downs + (down & ~cap)
-
-        # First master-up slot: slaves submitted, considered next slot.
-        launch = active & ~submitted & acc_m
-        submitted = submitted | launch
-        t_sub = np.where(launch, t + 1, t_sub)
-
-        # Completion gate: every slave done *and* the master up, checked
-        # only after the submission slot (the scalar loop `continue`s
-        # through submission and restart slots — both imply ~acc_m or
-        # t < t_sub here, so no extra mask is needed).
-        comp = active & (t >= t_sub) & s_done & acc_m
-        if comp.any():
-            terminated |= comp
-            completed[comp] = True
-            term[comp] = _COMPLETED
-            restarts[comp] = m_downs[comp]
-            t_sub_h = t_sub[comp] * slot_len
-            ct_out[comp] = t_sub_h + (s_ct[comp] - t_sub_h)
-        m_run_prev = acc_m
-
-    # Lanes the loop never terminated ran out of budget — with slaves in
-    # flight, or never even submitted when the master never came up.
-    rest = ~terminated
-    term[rest & ~submitted] = _NEVER
-    restarts[rest] = m_downs[rest]
-    # Final fold of the still-open master attempt (zero for capped and
-    # never-launched lanes, preserving the scalar sum's exact order).
-    m_tot = m_tot + m_acc
-
-    out["master_cost"] = m_tot
-    slave_total, intr_total = _fold_slaves(s_cost, s_intr, lane_slaves)
-    out["slave_cost"] = slave_total
-    out["slave_interruptions"] = intr_total
-    out["slots_simulated"] = events
-    return out
-
-
 def _first_events(
     prices: np.ndarray,
     row: np.ndarray,
@@ -285,8 +122,6 @@ def _first_events(
     block: int,
 ) -> Tuple[np.ndarray, int]:
     """First accepted slot per lane within its window (-1 when none)."""
-    from ..sweep.events import _block_events
-
     n = row.size
     first = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n)
@@ -331,9 +166,6 @@ def _slave_walk(
     plus a trailing knock when the window continues past the last
     accepted slot.
     """
-    from ..sweep.events import _block_events
-    from ..sweep.kernels import _EPS
-
     n = row.size
     o_cost = np.zeros(n)
     o_intr = np.zeros(n, dtype=np.int64)
@@ -433,13 +265,21 @@ def mapreduce_grid_kernel_event(
 ) -> Dict[str, np.ndarray]:
     """Event-driven batched evaluation of a MapReduce plan grid.
 
-    Same contract and bitwise-identical outputs as
-    :func:`mapreduce_grid_kernel`; ``slots_simulated`` counts executed
-    lane-events (accepted slots actually walked) instead of dense
-    lane-slots.  Rejected slots are skipped entirely: a pending master
-    and an idle or knocked-back slave touch no accumulator, and run
-    boundaries (master failures, slave knock-backs) fall out of gaps
-    between consecutive accepted events.
+    One *lane* is one (plan, run) pair: ``lane_mrow``/``lane_srow``
+    select the master/slave trace rows, ``lane_start`` the absolute
+    start slot, ``lane_budget`` how many slots may be simulated
+    (already clipped to trace length and ``max_slots``), and the
+    remaining arrays carry the plan parameters (bids, slave count M,
+    per-slave work share, slave recovery time).  Returns per-lane
+    arrays bitwise identical to the scalar runner's
+    ``MapReduceRunResult`` fields plus a ``termination`` code array
+    (see :data:`TERMINATION_CODES`); ``slots_simulated`` counts
+    executed lane-events (accepted slots actually walked).
+
+    Rejected slots are skipped entirely: a pending master and an idle
+    or knocked-back slave touch no accumulator, and run boundaries
+    (master failures, slave knock-backs) fall out of gaps between
+    consecutive accepted events.
     """
     lanes = (
         lane_mrow, lane_srow, lane_start, lane_budget, lane_master_bid,
@@ -451,7 +291,6 @@ def mapreduce_grid_kernel_event(
     out = _result(n_lanes)
     if n_lanes == 0:
         return out
-    from ..sweep.events import _BLOCK, _block_events
 
     slot_len = float(slot_length)
     cap_k = int(max_master_restarts)

@@ -8,19 +8,36 @@ accepted slots.  Its semantics are defined to match
 :func:`repro.market.instance.advance_request` exactly, and the test
 suite holds the two implementations equal on random traces, which makes
 this module double as an independent oracle for the market engine — and
-for the batched :mod:`repro.sweep` kernels built on top of it.
+the one specification of the batched :mod:`repro.sweep.kernels`.
 
-Both functions return :class:`~repro.market.outcomes.OutcomeStats`.
+Both functions return :class:`~repro.market.outcomes.OutcomeStats`;
+:func:`outcome_grid` runs either one cell by cell over a sweep kernel's
+grid — the lane the equivalence tests and ``repro-bid bench`` compare
+the kernels against.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..errors import MarketError
 from .outcomes import OutcomeStats
 
-__all__ = ["fast_onetime_outcome", "fast_persistent_outcome"]
+__all__ = ["fast_onetime_outcome", "fast_persistent_outcome", "outcome_grid"]
+
+#: The :class:`OutcomeStats` fields, each with the dtype the batched
+#: sweep kernels return it in.
+_GRID_FIELDS = (
+    ("completed", np.bool_),
+    ("cost", np.float64),
+    ("completion_time", np.float64),
+    ("running_time", np.float64),
+    ("idle_time", np.float64),
+    ("recovery_time_used", np.float64),
+    ("interruptions", np.int64),
+)
 
 
 def fast_persistent_outcome(
@@ -188,3 +205,49 @@ def fast_onetime_outcome(
         recovery_time_used=0.0,
         interruptions=0,
     )
+
+
+def outcome_grid(
+    oracle: Callable[..., OutcomeStats],
+    prices: np.ndarray,
+    bids: np.ndarray,
+    *,
+    n_valid: Optional[np.ndarray] = None,
+    **params: float,
+) -> Dict[str, np.ndarray]:
+    """A scalar ``oracle`` run cell by cell over a sweep kernel's grid.
+
+    Takes a sweep kernel's inputs — ``prices`` ``(T, S)``, ``bids``
+    ``(B,)`` or ``(T, B)`` per-trace, the true row lengths ``n_valid`` —
+    and calls ``oracle(row, bid, **params)`` (:func:`fast_persistent_outcome`
+    or :func:`fast_onetime_outcome`, with the kernel's ``work`` /
+    ``recovery_time`` / ``slot_length``) on each cell, over the first
+    ``n_valid[t]`` slots of trace ``t``.  Returns the seven
+    :class:`~repro.market.outcomes.OutcomeStats` fields as ``(T, B)``
+    arrays in the kernels' dtypes, so a kernel result compares to it
+    field by field, bitwise.  Every value is the oracle's own: this
+    function only loops and stacks.
+    """
+    prices = np.asarray(prices, dtype=float)
+    bids = np.asarray(bids, dtype=float)
+    bids2 = bids[None, :] if bids.ndim == 1 else bids
+    n_traces, n_slots = prices.shape
+    if bids2.shape[0] not in (1, n_traces):
+        raise MarketError(
+            f"per-trace bids must have {n_traces} rows, got {bids2.shape[0]}"
+        )
+    lengths = [n_slots] * n_traces if n_valid is None else list(n_valid)
+    cells = [
+        [
+            oracle(prices[t, : int(lengths[t])], float(bid), **params)
+            for bid in bids2[t if bids2.shape[0] > 1 else 0]
+        ]
+        for t in range(n_traces)
+    ]
+    return {
+        name: np.array(
+            [[getattr(cell, name) for cell in row] for row in cells],
+            dtype=dtype,
+        )
+        for name, dtype in _GRID_FIELDS
+    }

@@ -22,6 +22,7 @@ the same way in a test as in production.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -47,11 +48,11 @@ class MarketState:
     Parameters
     ----------
     source:
-        Where new per-slot prices come from.  Exhaustion or injected
+        Where new per-slot prices come from.  Exhaustion, injected
         faults (:class:`~repro.errors.MarketError`,
-        :class:`~repro.errors.FaultError`) mark the state *faulted*; the
-        service then degrades to the on-demand fallback instead of
-        crashing.
+        :class:`~repro.errors.FaultError`) or a price that is not finite
+        and non-negative mark the state *faulted*; the service then
+        degrades to the on-demand fallback instead of crashing.
     initial_history:
         The bootstrap price window (e.g. the two-month history download);
         also fixes the slot length and instance-type label.
@@ -119,8 +120,18 @@ class MarketState:
 
     # -- write side (ingest loop) -----------------------------------------
     def observe(self, price: float) -> None:
-        """Append one slot's price to the rolling window."""
-        self._prices.append(float(price))
+        """Append one slot's price to the rolling window.
+
+        Raises :class:`~repro.errors.MarketError` for a NaN, infinite or
+        negative price, which no bid table could be built from.
+        """
+        price = float(price)
+        if not (math.isfinite(price) and price >= 0.0):
+            raise MarketError(
+                f"price {price!r} at ingest slot {self.slots_ingested} is "
+                "not finite and non-negative"
+            )
+        self._prices.append(price)
         if len(self._prices) > self._window_slots:
             del self._prices[: len(self._prices) - self._window_slots]
         self.slots_ingested += 1
@@ -129,19 +140,19 @@ class MarketState:
         """Pull up to ``n_slots`` prices from the source.
 
         Returns the number actually ingested.  A :class:`MarketError` or
-        :class:`FaultError` from the source marks the state faulted and
-        stops the pull; it is *not* re-raised — degradation is the
-        service's job, not the ingest loop's.
+        :class:`FaultError` from the source, or a price :meth:`observe`
+        rejects, marks the state faulted and stops the pull; it is *not*
+        re-raised — degradation is the service's job, not the ingest
+        loop's.
         """
         ingested = 0
         for _ in range(n_slots):
             try:
-                price = self._source.next_price()
+                self.observe(self._source.next_price())
             except (MarketError, FaultError) as exc:
                 self.faulted = True
                 self.fault_reason = str(exc)
                 break
-            self.observe(price)
             ingested += 1
         return ingested
 
@@ -205,13 +216,21 @@ class IngestLoop:
         """Ingest until the source faults or ``max_slots`` slots arrive.
 
         ``interval`` seconds of sleep separate the pulls (zero in tests
-        and replay mode, the slot length in live deployments).
+        and replay mode, the slot length in live deployments).  Any other
+        exception also marks the state faulted before it propagates, so
+        a dead ingest task degrades the service instead of leaving it
+        answering from tables that silently stopped aging.
         """
         done = 0
-        while max_slots is None or done < max_slots:
-            ingested = await self.step()
-            done += ingested
-            if ingested == 0:
-                break
-            if self.interval > 0:
-                await asyncio.sleep(self.interval)
+        try:
+            while max_slots is None or done < max_slots:
+                ingested = await self.step()
+                done += ingested
+                if ingested == 0:
+                    break
+                if self.interval > 0:
+                    await asyncio.sleep(self.interval)
+        except Exception as exc:
+            self.state.faulted = True
+            self.state.fault_reason = f"ingest task died: {exc!r}"
+            raise

@@ -14,6 +14,12 @@ Requests are objects with an ``op`` field:
 * ``{"op": "stats"}``
 
 Responses echo ``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``.
+
+Decoding checks types, never coerces them: a line carrying the
+non-standard ``NaN`` / ``Infinity`` / ``-Infinity`` literals, a
+``degrade`` that is not a boolean, a numeric field that is not a JSON
+number (``true`` is not 1.0), or a non-string ``instance_type`` is
+answered with :class:`~repro.errors.ServeError`.
 """
 
 from __future__ import annotations
@@ -52,10 +58,20 @@ def encode_line(payload: Dict[str, Any]) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def _reject_constant(name: str) -> Any:
+    raise ServeError(f"malformed wire line: {name} is not a JSON number")
+
+
+#: One shared decoder: ``json.loads(..., parse_constant=...)`` would
+#: build a new decoder on every call, and decoding is on the hot path.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line; raises :class:`ServeError` on malformed input."""
+    """Parse one wire line; raises :class:`ServeError` on malformed input,
+    including the ``NaN`` and ``Infinity`` literals."""
     try:
-        payload = json.loads(line.decode("utf-8"))
+        payload = _DECODER.decode(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServeError(f"malformed wire line: {exc}") from None
     if not isinstance(payload, dict):
@@ -83,29 +99,62 @@ def request_to_wire(request: DecisionRequest) -> Dict[str, Any]:
     }
 
 
+def _number(value: Any, field: str) -> float:
+    """A JSON number as a float.  Exact type tests: ``bool`` is an
+    ``int`` subclass, and ``true`` is not a number on the wire."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ServeError(
+        f"invalid decide request: {field} must be a number, got {value!r}"
+    )
+
+
 def request_from_wire(payload: Dict[str, Any]) -> DecisionRequest:
     """Decode a decide request (the service side).
 
-    Raises :class:`ServeError` on missing/invalid fields so the service
-    can answer with a structured error instead of dying.
+    Raises :class:`ServeError` on missing fields and on fields of the
+    wrong JSON type, so the service can answer with a structured error
+    instead of dying or guessing.
     """
+    degrade = payload.get("degrade", True)
+    if not isinstance(degrade, bool):
+        raise ServeError(
+            f"invalid decide request: degrade must be true or false, "
+            f"got {degrade!r}"
+        )
+    instance_type = payload.get("instance_type")
+    if instance_type is not None and not isinstance(instance_type, str):
+        raise ServeError(
+            f"invalid decide request: instance_type must be a string or "
+            f"null, got {instance_type!r}"
+        )
+    max_variance = payload.get("max_variance")
     try:
         job_fields = payload["job"]
         job = JobSpec(
-            execution_time=float(job_fields["execution_time"]),
-            recovery_time=float(job_fields.get("recovery_time", 0.0)),
-            slot_length=float(job_fields["slot_length"]),
+            execution_time=_number(
+                job_fields["execution_time"], "execution_time"
+            ),
+            recovery_time=_number(
+                job_fields.get("recovery_time", 0.0), "recovery_time"
+            ),
+            slot_length=_number(job_fields["slot_length"], "slot_length"),
         )
         strategy = Strategy(payload.get("strategy", Strategy.PERSISTENT.value))
-        max_variance = payload.get("max_variance")
         return DecisionRequest(
             job=job,
             strategy=strategy,
-            percentile=float(payload.get("percentile", 90.0)),
-            max_variance=None if max_variance is None else float(max_variance),
-            cvar_alpha=float(payload.get("cvar_alpha", 0.95)),
-            degrade=bool(payload.get("degrade", True)),
-            instance_type=payload.get("instance_type"),
+            percentile=_number(payload.get("percentile", 90.0), "percentile"),
+            max_variance=(
+                None
+                if max_variance is None
+                else _number(max_variance, "max_variance")
+            ),
+            cvar_alpha=_number(payload.get("cvar_alpha", 0.95), "cvar_alpha"),
+            degrade=degrade,
+            instance_type=instance_type,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ServeError(f"invalid decide request: {exc}") from None

@@ -3,7 +3,7 @@
 This package is the scaling substrate over the scalar
 :mod:`repro.market.fastpath` oracle:
 
-* :mod:`repro.sweep.kernels` — slot-batched NumPy kernels, bitwise
+* :mod:`repro.sweep.kernels` — event-driven NumPy kernels, bitwise
   identical to the oracle, vectorized over the bid (and trace) axes.
 * :mod:`repro.sweep.engine` — :func:`run_sweep` front door with ragged
   trace stacking, per-trace start slots, paired bids, and fan-out
@@ -14,21 +14,14 @@ This package is the scaling substrate over the scalar
 """
 
 from .engine import run_sweep
-from .kernels import (
-    onetime_sweep_kernel,
-    onetime_sweep_kernel_reference,
-    persistent_sweep_kernel,
-    persistent_sweep_kernel_reference,
-)
+from .kernels import onetime_sweep_kernel, persistent_sweep_kernel
 from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, StackDescriptor
 
 __all__ = [
     "run_sweep",
     "onetime_sweep_kernel",
-    "onetime_sweep_kernel_reference",
     "persistent_sweep_kernel",
-    "persistent_sweep_kernel_reference",
     "SharedPriceStack",
     "StackDescriptor",
     "SweepCounters",

@@ -2,7 +2,7 @@
 
 :func:`run_sweep` is the front door.  It normalizes heterogeneous trace
 inputs (histories, arrays, ragged lengths, per-trace start slots) into a
-padded price matrix, cuts it into shards for the slot-batched kernels in
+padded price matrix, cuts it into shards for the event-driven kernels in
 :mod:`repro.sweep.kernels`, runs them through
 :func:`repro.scheduler.run_shards` — in this process, serially or on
 threads, or on its fault-tolerant process pool — and assembles a
@@ -17,7 +17,6 @@ import time
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Iterable,
     List,
     Optional,
@@ -28,16 +27,10 @@ from typing import (
 
 import numpy as np
 
-from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.distcache import distribution_cache_stats
 from ..core.types import JobSpec, Strategy, normalize_strategy
 from ..errors import MarketError
-from .kernels import (
-    onetime_sweep_kernel,
-    onetime_sweep_kernel_reference,
-    persistent_sweep_kernel,
-    persistent_sweep_kernel_reference,
-)
+from .kernels import onetime_sweep_kernel, persistent_sweep_kernel
 from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, open_stack
 
@@ -143,26 +136,6 @@ def _slot_length_of(traces: Union[object, Sequence[object]], job: JobSpec) -> No
             )
 
 
-def _kernel_mode() -> str:
-    """The kernel family ``REPRO_SWEEP_KERNEL`` selects (``event``
-    default, ``reference`` for the dense oracle path), read through the
-    :data:`repro.constants.SWEEP_KERNEL` registry entry.  A sweep reads
-    it once, before dispatch, and ships the mode with every chunk."""
-    try:
-        return SWEEP_KERNEL.get()
-    except EnvVarError as exc:
-        raise MarketError(str(exc)) from None
-
-
-def _select_kernels(mode: str) -> Tuple[Callable[..., dict], Callable[..., dict]]:
-    """The ``(one-time, persistent)`` kernel pair of a kernel ``mode``.
-    Looked up by module-global name at call time, so a function swapped
-    in at the module attribute is the one that runs."""
-    if mode == "event":
-        return onetime_sweep_kernel, persistent_sweep_kernel
-    return onetime_sweep_kernel_reference, persistent_sweep_kernel_reference
-
-
 def _resolve_payload(payload: Tuple[Any, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """Materialize a chunk payload into ``(prices, n_valid)`` arrays.
 
@@ -189,16 +162,17 @@ def _run_kernel_chunk(args: Tuple[Any, ...]) -> dict:
     distribution-cache hit/miss delta so process workers — whose caches
     are invisible to the parent — still feed ``SweepCounters``.
     """
-    strategy_value, payload, bids, work, recovery_time, slot_length, mode = args
+    strategy_value, payload, bids, work, recovery_time, slot_length = args
     prices, n_valid = _resolve_payload(payload)
-    onetime_kernel, persistent_kernel = _select_kernels(mode)
     hits0, misses0 = distribution_cache_stats()
+    # The kernels are module globals looked up at call time, so a
+    # function swapped in at the module attribute is the one that runs.
     if Strategy(strategy_value) is Strategy.ONE_TIME:
-        result = onetime_kernel(
+        result = onetime_sweep_kernel(
             prices, bids, work=work, slot_length=slot_length, n_valid=n_valid
         )
     else:
-        result = persistent_kernel(
+        result = persistent_sweep_kernel(
             prices,
             bids,
             work=work,
@@ -368,7 +342,6 @@ def run_sweep(
         if bid_values.ndim != 1:
             raise MarketError("bids must be a scalar or 1-D sequence")
         kernel_bids = bid_values
-    mode = _kernel_mode()
 
     recovery = job.recovery_time if strategy is Strategy.PERSISTENT else 0.0
     hits0, misses0 = distribution_cache_stats()
@@ -449,7 +422,6 @@ def run_sweep(
                     job.execution_time,
                     recovery,
                     job.slot_length,
-                    mode,
                 )
             )
 

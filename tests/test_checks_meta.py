@@ -1,8 +1,9 @@
 """Meta-checks: the shipped tree is clean, and the kernel-parity rule
-really guards the real dispatch tables.
+really guards the real kernel⇄oracle pairs.
 
-The second half copies the *actual* anchor modules (sweep engine,
-kernels, MapReduce grid, bench tables) and the real equivalence tests
+The second half copies the *actual* anchor modules (the three
+``kernels.py`` modules, the oracles they pair with, the MapReduce grid,
+the bench tables) and the real equivalence tests
 into a throwaway repo layout, then deletes one proof artifact at a time
 and asserts RB201 fires — so refactors cannot silently reduce the rule
 to a no-op on the real file layout.
@@ -22,10 +23,11 @@ REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 #: Anchor files the kernel-parity rule cross-references, plus the
 #: equivalence tests that prove the parity claims.
 PARITY_FILES = (
-    "src/repro/sweep/engine.py",
     "src/repro/sweep/kernels.py",
-    "src/repro/mapreduce/grid.py",
+    "src/repro/market/fastpath.py",
     "src/repro/mapreduce/kernels.py",
+    "src/repro/mapreduce/grid.py",
+    "src/repro/mapreduce/runner.py",
     "src/repro/extensions/kernels.py",
     "src/repro/bench/cases.py",
     "src/repro/bench/runner.py",
@@ -85,7 +87,7 @@ class TestParityRuleGuardsRealAnchors:
         result = self.copy_tree(tmp_path, drop=("tests/test_mr_kernels.py",))
         messages = [f.message for f in result.findings]
         assert any(
-            "no equivalence test" in m and "mapreduce_grid_kernel" in m
+            "no equivalence test" in m and "mapreduce_grid_kernel_event" in m
             for m in messages
         )
 
@@ -116,6 +118,24 @@ class TestParityRuleGuardsRealAnchors:
         messages = [f.message for f in result.findings]
         assert any(
             "risk_scan_kernel_reference" in m and "not defined" in m
+            for m in messages
+        )
+
+    def test_deleting_sweep_oracle_fails(self, tmp_path):
+        result = self.copy_tree(tmp_path)
+        assert result.findings == ()
+        path = tmp_path / "src/repro/market/fastpath.py"
+        path.write_text(
+            path.read_text().replace(
+                "def fast_onetime_outcome", "def _onetime_oracle_gone"
+            )
+        )
+        result = run_checks(
+            [tmp_path / "src"], rules=[KernelParityRule()], root=tmp_path
+        )
+        messages = [f.message for f in result.findings]
+        assert any(
+            "fast_onetime_outcome" in m and "not defined" in m
             for m in messages
         )
 

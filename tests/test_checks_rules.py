@@ -131,35 +131,33 @@ class TestDeterminismRB101:
 
 
 class TestKernelParityRB201:
-    """Synthetic dispatch table; the real anchors are covered by
-    tests/test_checks_meta.py."""
+    """Synthetic sweep kernel⇄oracle pair; the real anchors are covered
+    by tests/test_checks_meta.py."""
 
-    ENGINE = """\
-        from .kernels import foo_kernel, foo_kernel_reference
-
-        def _select_kernels():
-            return foo_kernel, foo_kernel_reference
-    """
     KERNELS = """\
-        def foo_kernel():
-            return 0
+        __all__ = ["foo_sweep_kernel"]
 
-        def foo_kernel_reference():
+        def foo_sweep_kernel():
+            return 0
+    """
+    FASTPATH = """\
+        def fast_foo_outcome():
             return 0
     """
     TEST = """\
         import numpy as np
-        from repro.sweep.kernels import foo_kernel, foo_kernel_reference
+        from repro.market.fastpath import fast_foo_outcome
+        from repro.sweep.kernels import foo_sweep_kernel
 
         def test_equivalence():
             rng = np.random.default_rng(0)
-            assert foo_kernel() == foo_kernel_reference()
+            assert foo_sweep_kernel() == fast_foo_outcome()
     """
 
     def files(self, **overrides):
         files = {
-            "src/repro/sweep/engine.py": self.ENGINE,
             "src/repro/sweep/kernels.py": self.KERNELS,
+            "src/repro/market/fastpath.py": self.FASTPATH,
             "tests/test_foo_equivalence.py": self.TEST,
         }
         files.update(overrides)
@@ -170,15 +168,13 @@ class TestKernelParityRB201:
         assert result.findings == ()
 
     def test_missing_oracle_in_table_flagged(self, tmp_path):
-        engine = """\
-            from .kernels import foo_kernel
-
-            def _select_kernels():
-                return foo_kernel, foo_kernel
+        fastpath = """\
+            def fast_bar_outcome():
+                return 0
         """
         result = check(
             tmp_path,
-            self.files(**{"src/repro/sweep/engine.py": engine}),
+            self.files(**{"src/repro/market/fastpath.py": fastpath}),
             KernelParityRule,
         )
         assert "RB201" in rule_ids(result)
@@ -195,10 +191,11 @@ class TestKernelParityRB201:
 
     def test_unrandomized_equivalence_test_flagged(self, tmp_path):
         boring = """\
-            from repro.sweep.kernels import foo_kernel, foo_kernel_reference
+            from repro.market.fastpath import fast_foo_outcome
+            from repro.sweep.kernels import foo_sweep_kernel
 
             def test_equivalence():
-                assert foo_kernel() == foo_kernel_reference()
+                assert foo_sweep_kernel() == fast_foo_outcome()
         """
         result = check(
             tmp_path,
@@ -211,20 +208,20 @@ class TestKernelParityRB201:
     def test_kernel_not_defined_in_kernels_module_flagged(self, tmp_path):
         result = check(
             tmp_path,
-            self.files(**{"src/repro/sweep/kernels.py": "X = 1\n"}),
+            self.files(
+                **{"src/repro/sweep/kernels.py": '__all__ = ["foo_sweep_kernel"]\n'}
+            ),
             KernelParityRule,
         )
         assert "RB201" in rule_ids(result)
         assert any("not defined" in f.message for f in result.findings)
 
     def test_imported_kernels_count_as_defined(self, tmp_path):
-        # kernels.py may re-export from an implementation module (the
-        # real sweep kernels import the event kernels this way).
+        # kernels.py may re-export a kernel from an implementation module.
         kernels = """\
-            from .events import foo_kernel
+            from .impl import foo_sweep_kernel
 
-            def foo_kernel_reference():
-                return 0
+            __all__ = ["foo_sweep_kernel"]
         """
         result = check(
             tmp_path,
@@ -234,12 +231,12 @@ class TestKernelParityRB201:
         assert result.findings == ()
 
     def test_file_noqa_on_anchor_suppresses(self, tmp_path):
-        engine = "# repro: noqa-file(RB201)\n" + textwrap.dedent(self.ENGINE)
+        kernels = "# repro: noqa-file(RB201)\n" + textwrap.dedent(self.KERNELS)
         result = check(
             tmp_path,
             self.files(
                 **{
-                    "src/repro/sweep/engine.py": engine,
+                    "src/repro/sweep/kernels.py": kernels,
                     "tests/test_foo_equivalence.py": None,
                 }
             ),

@@ -47,65 +47,39 @@ class TestEnvVarRegistry:
     """The central REPRO_* registry (EnvVar / ENV_VARS / env_var)."""
 
     def test_defaults_apply_when_unset(self, monkeypatch):
-        from repro.constants import DIST_CACHE_SIZE, SWEEP_KERNEL
+        from repro.constants import DIST_CACHE_SIZE, SERVE_TABLE_GRID
 
-        monkeypatch.delenv("REPRO_SWEEP_KERNEL", raising=False)
+        monkeypatch.delenv("REPRO_SERVE_TABLE_GRID", raising=False)
         monkeypatch.delenv("REPRO_DIST_CACHE_SIZE", raising=False)
-        assert SWEEP_KERNEL.get() == "event"
+        assert SERVE_TABLE_GRID.get() == (32, 8)
         assert DIST_CACHE_SIZE.get() == 64
 
     def test_empty_and_whitespace_mean_default(self, monkeypatch):
-        from repro.constants import SWEEP_KERNEL
+        from repro.constants import SERVE_TABLE_GRID
 
         for raw in ("", "   "):
-            monkeypatch.setenv("REPRO_SWEEP_KERNEL", raw)
-            assert SWEEP_KERNEL.get() == "event"
+            monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", raw)
+            assert SERVE_TABLE_GRID.get() == (32, 8)
 
     def test_values_parse_and_strip(self, monkeypatch):
-        from repro.constants import DIST_CACHE_SIZE, SWEEP_KERNEL
+        from repro.constants import DIST_CACHE_SIZE, SERVE_TABLE_GRID
 
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "  reference ")
-        assert SWEEP_KERNEL.get() == "reference"
+        monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", "  16X4 ")
+        assert SERVE_TABLE_GRID.get() == (16, 4)
         monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", "7")
         assert DIST_CACHE_SIZE.get() == 7
-
-    def test_every_kernel_mode_parses(self, monkeypatch):
-        from repro.constants import SWEEP_KERNEL, SWEEP_KERNEL_MODES
-
-        assert SWEEP_KERNEL_MODES == ("event", "reference")
-        for mode in SWEEP_KERNEL_MODES:
-            monkeypatch.setenv("REPRO_SWEEP_KERNEL", mode.upper())
-            assert SWEEP_KERNEL.get() == mode
-
-    def test_kernel_mode_error_lists_registry_modes(self, monkeypatch):
-        """The rejection message is derived from SWEEP_KERNEL_MODES, so
-        adding a mode can never leave the message stale."""
-        from repro.constants import (
-            SWEEP_KERNEL,
-            SWEEP_KERNEL_MODES,
-            EnvVarError,
-        )
-
-        for bad in ("warp", "compiled"):
-            monkeypatch.setenv("REPRO_SWEEP_KERNEL", bad)
-            with pytest.raises(EnvVarError) as excinfo:
-                SWEEP_KERNEL.get()
-            message = str(excinfo.value)
-            for mode in SWEEP_KERNEL_MODES:
-                assert repr(mode) in message
-            assert repr(bad) in message
 
     def test_invalid_values_raise_envvarerror(self, monkeypatch):
         from repro.constants import (
             DIST_CACHE_SIZE,
-            SWEEP_KERNEL,
+            SERVE_TABLE_GRID,
             EnvVarError,
         )
         from repro.errors import ReproError
 
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "bogus")
-        with pytest.raises(EnvVarError, match="REPRO_SWEEP_KERNEL"):
-            SWEEP_KERNEL.get()
+        monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", "bogus")
+        with pytest.raises(EnvVarError, match="REPRO_SERVE_TABLE_GRID"):
+            SERVE_TABLE_GRID.get()
         for raw in ("0", "-3", "many"):
             monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", raw)
             with pytest.raises(EnvVarError, match="REPRO_DIST_CACHE_SIZE"):
@@ -118,7 +92,6 @@ class TestEnvVarRegistry:
         from repro.constants import ENV_VARS, EnvVarError, env_var
 
         assert set(ENV_VARS) == {
-            "REPRO_SWEEP_KERNEL",
             "REPRO_DIST_CACHE_SIZE",
             "REPRO_SERVE_PORT",
             "REPRO_SERVE_TABLE_GRID",
@@ -132,7 +105,7 @@ class TestEnvVarRegistry:
             "REPRO_CVAR_WINDOWS",
             "REPRO_CHECK_CACHE",
         }
-        assert env_var("REPRO_SWEEP_KERNEL") is ENV_VARS["REPRO_SWEEP_KERNEL"]
+        assert env_var("REPRO_SERVE_PORT") is ENV_VARS["REPRO_SERVE_PORT"]
         with pytest.raises(EnvVarError, match="not a registered"):
             env_var("REPRO_NOPE")
 

@@ -128,6 +128,42 @@ class TestWireFormat:
         del payload["degrade"]
         assert request_from_wire(payload).degrade is True
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_degrade_must_be_a_boolean(self, job, flag):
+        payload = request_to_wire(DecisionRequest(job=job))
+        payload["degrade"] = flag
+        with pytest.raises(ServeError, match="degrade"):
+            request_from_wire(payload)
+        payload["degrade"] = False
+        assert request_from_wire(payload).degrade is False
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("execution_time", True),
+            ("recovery_time", "0.01"),
+            ("slot_length", True),
+            ("percentile", True),
+            ("max_variance", True),
+            ("cvar_alpha", "0.95"),
+        ],
+    )
+    def test_numeric_fields_must_be_json_numbers(self, job, field, value):
+        payload = request_to_wire(DecisionRequest(job=job))
+        target = payload["job"] if field in payload["job"] else payload
+        target[field] = value
+        with pytest.raises(ServeError, match=field):
+            request_from_wire(payload)
+
+    @pytest.mark.parametrize("instance_type", [7, 1.5, ["r3.xlarge"], True])
+    def test_instance_type_must_be_a_string_or_null(self, job, instance_type):
+        payload = request_to_wire(DecisionRequest(job=job))
+        payload["instance_type"] = instance_type
+        with pytest.raises(ServeError, match="instance_type"):
+            request_from_wire(payload)
+        payload["instance_type"] = None
+        assert request_from_wire(payload).instance_type is None
+
     def test_missing_job_fields_raise_serve_error(self):
         with pytest.raises(ServeError):
             request_from_wire({"op": "decide", "job": {"execution_time": 1.0}})
@@ -159,3 +195,12 @@ class TestWireFormat:
             decode_line(b"\xff\xfe not utf8 json")
         with pytest.raises(ServeError):
             decode_line(b'["a", "list"]')
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_line_codec_rejects_non_finite_literals(self, literal):
+        line = (
+            '{"op": "decide", "job": {"execution_time": %s, '
+            '"slot_length": 0.08}}' % literal
+        ).encode()
+        with pytest.raises(ServeError, match=literal.lstrip("-")):
+            decode_line(line)

@@ -16,8 +16,9 @@ import pytest
 
 from repro.core.distributions import EmpiricalPriceDistribution
 from repro.core.types import JobSpec
-from repro.errors import DistributionError, MarketError, PlanError
+from repro.errors import DistributionError, PlanError
 from repro.extensions.kernels import (
+    _EXT_KERNELS,
     block_grid_kernel,
     block_grid_kernel_reference,
     checkpoint_grid_kernel,
@@ -28,13 +29,13 @@ from repro.extensions.kernels import (
     dag_grid_kernel_reference,
     deadline_scan_kernel,
     deadline_scan_kernel_reference,
+    extension_kernel_pair,
     persistence_grid_kernel,
     persistence_grid_kernel_reference,
     portfolio_grid_kernel,
     portfolio_grid_kernel_reference,
     risk_scan_kernel,
     risk_scan_kernel_reference,
-    select_ext_kernel,
 )
 
 SEEDS = [1509, 2015, 4242]
@@ -377,31 +378,13 @@ class TestPortfolioGrid:
 
 
 class TestDispatch:
-    def test_event_selects_vectorized_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "event")
-        assert select_ext_kernel("risk_scan") is risk_scan_kernel
-        assert select_ext_kernel("portfolio_grid") is portfolio_grid_kernel
-
-    def test_reference_selects_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "reference")
-        assert select_ext_kernel("risk_scan") is risk_scan_kernel_reference
-        assert select_ext_kernel("block_grid") is block_grid_kernel_reference
-
-    def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_KERNEL", raising=False)
-        assert select_ext_kernel("dag_grid") is dag_grid_kernel
-        assert select_ext_kernel("collective_slot") is collective_slot_kernel
-        assert (
-            select_ext_kernel("persistence_grid") is persistence_grid_kernel
+    def test_pairs_each_kernel_with_its_oracle(self):
+        assert extension_kernel_pair("risk_scan") == (
+            risk_scan_kernel, risk_scan_kernel_reference,
         )
-        assert select_ext_kernel("deadline_scan") is deadline_scan_kernel
-        assert select_ext_kernel("checkpoint_grid") is checkpoint_grid_kernel
-
-    def test_invalid_mode_raises_market_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "warp")
-        with pytest.raises(MarketError, match="REPRO_SWEEP_KERNEL"):
-            select_ext_kernel("risk_scan")
+        for kernel, oracle in _EXT_KERNELS.values():
+            assert oracle.__name__ == kernel.__name__ + "_reference"
 
     def test_unknown_kernel_name_raises(self):
         with pytest.raises(KeyError):
-            select_ext_kernel("no_such_kernel")
+            extension_kernel_pair("no_such_kernel")

@@ -1,6 +1,6 @@
-"""Batched MapReduce kernels vs. the scalar runner, bitwise.
+"""The batched MapReduce kernel vs. the scalar runner, bitwise.
 
-The dense and event grid kernels promise *bitwise-identical* outputs to
+The event grid kernel promises *bitwise-identical* outputs to
 :func:`repro.mapreduce.runner.run_plan_on_traces` — same float
 accumulation order, same termination semantics.  These tests sweep
 randomized plan grids, traces and start slots against the scalar
@@ -9,13 +9,11 @@ simulators: penultimate start slots, a zero restart budget, masters
 that never launch, and ``max_slots`` truncation.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core.types import BidDecision, BidKind, MapReduceJobSpec, MapReducePlan
-from repro.errors import MarketError, PlanError
+from repro.errors import MarketError, PlanError, SweepExecutionError
 from repro.mapreduce import (
     TERMINATION_CODES,
     MapReduceGridResult,
@@ -27,7 +25,7 @@ from repro.traces.history import SpotPriceHistory
 
 SLOT = 1.0 / 60.0
 
-KERNELS = ("dense", "event")
+KERNELS = ("event",)
 
 
 def make_plan(
@@ -152,7 +150,7 @@ class TestRandomizedEquivalence:
 
 
 class TestEdgeCases:
-    """The corners ISSUE.md calls out, against both batched kernels."""
+    """The corners that historically break lockstep simulators."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_penultimate_start_slot(self, kernel):
@@ -224,24 +222,46 @@ class TestEdgeCases:
 
 
 class TestDispatchAndFanout:
-    def test_env_dispatch(self, monkeypatch):
+    def test_default_lane_is_the_kernel(self):
         trace = flat_trace(0.1)
-        plan = make_plan()
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "reference")
-        assert run_plan_grid(plan, trace, trace).kernel == "scalar"
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "event")
-        assert run_plan_grid(plan, trace, trace).kernel == "event"
-        monkeypatch.delenv("REPRO_SWEEP_KERNEL")
-        assert run_plan_grid(plan, trace, trace).kernel == "event"
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "bogus")
-        with pytest.raises(MarketError):
-            run_plan_grid(plan, trace, trace)
+        assert run_plan_grid(make_plan(), trace, trace).kernel == "event"
 
     def test_unknown_kernel_raises(self):
         trace = flat_trace(0.1)
-        for kernel in ("gpu", "compiled"):
+        for kernel in ("gpu", "compiled", "dense"):
             with pytest.raises(MarketError):
                 run_plan_grid(make_plan(), trace, trace, kernel=kernel)
+
+    @pytest.mark.parametrize(
+        "bad,error,match",
+        [
+            ({"max_workers": 0}, SweepExecutionError, "max_workers"),
+            ({"max_workers": -3}, SweepExecutionError, "max_workers"),
+            ({"max_slots": 0}, PlanError, "max_slots"),
+            ({"max_slots": -5}, PlanError, "max_slots"),
+            ({"start_slots": -1}, PlanError, "start_slot"),
+            ({"max_master_restarts": -1}, PlanError, "max_master_restarts"),
+        ],
+        ids=[
+            "workers-0", "workers-neg", "max-slots-0", "max-slots-neg",
+            "start-neg", "restarts-neg",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "lane",
+        [
+            {"kernel": "event"},
+            {"kernel": "scalar"},
+            {"kernel": "event", "max_workers": 2},
+        ],
+        ids=["event", "scalar", "event-fanout"],
+    )
+    def test_bad_arguments_rejected_alike_on_every_lane(
+        self, lane, bad, error, match
+    ):
+        trace = flat_trace(0.1, n_slots=100)
+        with pytest.raises(error, match=match):
+            run_plan_grid(make_plan(), trace, trace, **{**lane, **bad})
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_process_fanout_bitwise(self, kernel):
@@ -280,7 +300,7 @@ class TestGridResultApi:
 
     def test_total_cost(self):
         trace = flat_trace(0.1)
-        grid = run_plan_grid(make_plan(), trace, trace, kernel="dense")
+        grid = run_plan_grid(make_plan(), trace, trace, kernel="event")
         assert np.array_equal(
             grid.total_cost, grid.master_cost + grid.slave_cost
         )

@@ -148,17 +148,6 @@ class TestOptimalPortfolioBid:
                 ondemand_fractions=[0.2, 0.5],
             )
 
-    def test_lanes_agree(self, empirical_dist, job, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "event")
-        fast = optimal_portfolio_bid(
-            empirical_dist, job, ondemand_price=ONDEMAND
-        )
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "reference")
-        oracle = optimal_portfolio_bid(
-            empirical_dist, job, ondemand_price=ONDEMAND
-        )
-        assert fast == oracle
-
 
 class TestCvarFromCosts:
     def test_alpha_near_one_takes_the_max(self):

@@ -9,6 +9,7 @@ from repro.core.types import DecisionRequest, JobSpec, Strategy
 from repro.errors import FaultError, MarketError, ServeError
 from repro.market.price_sources import PriceSource, TracePriceSource
 from repro.serve.ingest import IngestLoop, MarketState
+from repro.serve.service import BidService
 from repro.traces.history import SpotPriceHistory
 
 ONDEMAND = 0.35
@@ -27,6 +28,32 @@ class ExplodingSource(PriceSource):
             raise self._error
         self._served += 1
         return 0.04
+
+
+class ScriptedSource(PriceSource):
+    """Yields 0.04 per slot, except ``bad`` at slot ``at``."""
+
+    def __init__(self, at: int, bad: float):
+        self._at = at
+        self._bad = bad
+        self._served = 0
+
+    def next_price(self) -> float:
+        slot = self._served
+        self._served += 1
+        return self._bad if slot == self._at else 0.04
+
+
+def decide(service, serve_history, serve_grid):
+    return service.handle(
+        DecisionRequest(
+            job=JobSpec(
+                execution_time=serve_grid.execution_times[1],
+                slot_length=serve_history.slot_length,
+            ),
+            strategy=Strategy.PERSISTENT,
+        )
+    )
 
 
 def make_state(serve_history, serve_grid, source=None, **kwargs):
@@ -133,6 +160,16 @@ class TestMarketState:
         after = state.rebuild().decide(request)
         assert after.table_version != before.table_version
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.01])
+    def test_observe_rejects_a_price_no_table_could_use(
+        self, serve_history, serve_grid, bad
+    ):
+        state = make_state(serve_history, serve_grid)
+        with pytest.raises(MarketError, match="not finite and non-negative"):
+            state.observe(bad)
+        assert state.slots_ingested == 0
+        assert state.history().prices[-1] == serve_history.prices[-1]
+
     def test_constructor_guards(self, serve_history, serve_grid):
         with pytest.raises(ServeError):
             make_state(serve_history, serve_grid, window_slots=1)
@@ -172,6 +209,46 @@ class TestIngestLoop:
         asyncio.run(loop.run(max_slots=5))
         assert state.slots_ingested == 5
         assert not state.faulted
+
+    def test_bad_price_latches_the_fault(self, serve_history, serve_grid):
+        """A NaN at slot 5 must fault the market within half a second,
+        and the next decide must answer degraded, with the reason."""
+        state = make_state(
+            serve_history,
+            serve_grid,
+            source=ScriptedSource(at=5, bad=float("nan")),
+            rebuild_every=4,
+        )
+        service = BidService(state, stale_after=100)
+
+        async def drive():
+            task = asyncio.get_running_loop().create_task(IngestLoop(state).run())
+            await asyncio.wait_for(task, timeout=0.5)
+
+        asyncio.run(drive())
+        assert state.faulted
+        assert "nan" in state.fault_reason
+        assert state.slots_ingested == 5
+        assert state.tables.generation == 1
+        response = decide(service, serve_history, serve_grid)
+        assert response.decision.degraded
+        assert response.degradation_reason.startswith("market faulted: ")
+        assert "nan" in response.degradation_reason
+
+    def test_dead_ingest_task_latches_the_fault(self, serve_history, serve_grid):
+        state = make_state(
+            serve_history,
+            serve_grid,
+            source=ExplodingSource(3, RuntimeError("feed lost")),
+        )
+        service = BidService(state, stale_after=100)
+        with pytest.raises(RuntimeError, match="feed lost"):
+            asyncio.run(IngestLoop(state).run())
+        assert state.faulted
+        assert "feed lost" in state.fault_reason
+        response = decide(service, serve_history, serve_grid)
+        assert response.decision.degraded
+        assert response.degradation_reason.startswith("market faulted: ")
 
     def test_negative_interval_rejected(self, serve_history, serve_grid):
         state = make_state(serve_history, serve_grid)

@@ -184,24 +184,19 @@ class TestEngine:
         ids=["serial", "thread", "process"],
     )
     @pytest.mark.parametrize(
-        "bids,kernel,match",
+        "bids,match",
         [
-            ([-0.1], None, "bid -0.1 "),
-            ([0.05, np.nan], None, "bid nan "),
-            ([], None, "at least one bid"),
-            ([0.05], "bogus", "REPRO_SWEEP_KERNEL"),
+            ([-0.1], "bid -0.1 "),
+            ([0.05, np.nan], "bid nan "),
+            ([], "at least one bid"),
         ],
-        ids=["negative-bid", "nan-bid", "no-bids", "bogus-kernel"],
+        ids=["negative-bid", "nan-bid", "no-bids"],
     )
-    def test_bad_input_is_rejected_before_dispatch(
-        self, lane, bids, kernel, match, monkeypatch
-    ):
-        """Bad bids and an unknown kernel family raise MarketError on
-        every lane, not a shard failure after the pool retried them."""
+    def test_bad_input_is_rejected_before_dispatch(self, lane, bids, match):
+        """Bad bids raise MarketError on every lane, not a shard failure
+        after the pool retried them."""
         from repro.errors import MarketError
 
-        if kernel is not None:
-            monkeypatch.setenv("REPRO_SWEEP_KERNEL", kernel)
         traces = [np.full(24, 0.03)] * 16
         with pytest.raises(MarketError, match=match):
             run_sweep(traces, bids, JobSpec(1.0), **lane)
