@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["ecdf", "mean_squared_error", "KSResult", "ks_two_sample"]
 
@@ -44,6 +43,8 @@ class KSResult:
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
     """Two-sample K-S test (used for the day/night price comparison)."""
+    from scipy import stats
+
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.size == 0 or y.size == 0:

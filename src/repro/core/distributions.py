@@ -34,7 +34,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ..errors import DistributionError, SupportError
 
@@ -80,6 +79,8 @@ class PriceDistribution(abc.ABC):
         ``quantile >= 1`` to the upper edge, which is the behaviour
         Prop. 4 relies on (a short job bids the minimum spot price).
         """
+        from scipy import optimize
+
         if math.isnan(quantile):
             raise DistributionError("quantile must not be NaN")
         if quantile <= 0.0:
@@ -95,6 +96,8 @@ class PriceDistribution(abc.ABC):
 
     def partial_expectation(self, price: float) -> float:
         """Return ``S(price) = ∫_lower^price x f_π(x) dx``."""
+        from scipy import integrate
+
         if price <= self.lower:
             return 0.0
         hi = min(price, self.upper)

@@ -26,7 +26,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import InfeasibleBidError
 from . import costs
@@ -129,6 +128,8 @@ def solve_psi_bid(dist: PriceDistribution, job: JobSpec) -> Optional[float]:
     at a support boundary, or the PDF is not decreasing so ψ is not
     monotone).  Callers should then fall back to a scan.
     """
+    from scipy import optimize
+
     target = psi_target(job)
     if math.isinf(target):
         return None

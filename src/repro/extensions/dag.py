@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from ..core import costs
@@ -36,6 +35,9 @@ from ..market.requests import RequestState
 from ..market.simulator import SpotMarket
 from ..traces.history import SpotPriceHistory
 from .kernels import dag_grid_kernel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "TaskGraph",
@@ -60,6 +62,8 @@ class TaskGraph:
     edges: Sequence[Tuple[str, str]]
 
     def graph(self) -> "nx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.tasks)
         for u, v in self.edges:
@@ -168,6 +172,8 @@ def plan_dag(dist: PriceDistribution, task_graph: TaskGraph) -> DagPlan:
     only at that point, per Section 8).  All tasks' candidate scans run
     as one batched ``dag_grid`` kernel evaluation.
     """
+    import networkx as nx
+
     g = task_graph.graph()
     decisions = _batch_persistent_decisions(
         dist, [task_graph.tasks[name] for name in task_graph.tasks]

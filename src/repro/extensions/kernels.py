@@ -30,7 +30,6 @@ import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core.distributions import PriceDistribution
 from ..core.types import JobSpec
@@ -188,6 +187,8 @@ def deadline_scan_kernel_reference(
     """Scalar oracle: per-candidate miss probability under the normal
     approximation of :func:`repro.extensions.risk.
     deadline_miss_probability`."""
+    from scipy import stats
+
     if deadline <= 0:
         raise ValueError(f"deadline must be positive, got {deadline!r}")
     _require_progress(job)
@@ -225,6 +226,8 @@ def deadline_scan_kernel(
     deadline: float,
 ) -> Dict[str, np.ndarray]:
     """Vectorized deadline-miss scan: one batched ``norm.sf`` call."""
+    from scipy import stats
+
     if deadline <= 0:
         raise ValueError(f"deadline must be positive, got {deadline!r}")
     _require_progress(job)

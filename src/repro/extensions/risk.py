@@ -20,7 +20,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from ..core import costs
 from ..core.distributions import PriceDistribution
@@ -130,6 +129,8 @@ def deadline_miss_probability(
     binomial count is approximated by a normal (fine for n in the
     hundreds, as with 5-minute slots and multi-hour deadlines).
     """
+    from scipy import stats
+
     if deadline <= 0:
         raise ValueError(f"deadline must be positive, got {deadline!r}")
     accept = dist.cdf(price)

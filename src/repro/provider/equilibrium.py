@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from ..core.distributions import PriceDistribution
 from ..errors import DistributionError
@@ -242,6 +241,8 @@ class EquilibriumPriceModel(PriceDistribution):
         return res.reshape(prices.shape)
 
     def partial_expectation(self, price: float) -> float:
+        from scipy import integrate
+
         if price < self.lower:
             return 0.0
         hi = min(price, self.upper)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import FittingError
 from .arrivals import ArrivalProcess, ExponentialArrivals, ParetoArrivals
@@ -237,6 +236,8 @@ def _fit_family(
     starts: Sequence[Tuple[float, ...]],
     bounds: Tuple[np.ndarray, np.ndarray],
 ) -> FitResult:
+    from scipy import optimize
+
     target = hist.density
     density = _density_on_bins(
         hist.centers,

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import optimize
-
 from ..errors import DistributionError
 
 __all__ = [
@@ -122,6 +120,8 @@ def optimal_spot_price_numeric(
     demand: float, beta: float, pi_bar: float, pi_min: float
 ) -> float:
     """Maximize eq. 1 numerically — a cross-check for eq. 3's algebra."""
+    from scipy import optimize
+
     validate_price_band(pi_bar, pi_min)
     if demand == 0.0:
         return pi_min

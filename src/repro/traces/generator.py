@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import numpy as np
-from scipy import stats
 
 from ..constants import DEFAULT_SLOT_HOURS, SLOTS_PER_DAY
 from ..errors import TraceError
@@ -176,6 +175,8 @@ def generate_correlated_history(
     :func:`generate_equilibrium_history` exactly while consecutive prices
     correlate with coefficient ≈ ρ.
     """
+    from scipy import stats
+
     if not -1.0 < correlation < 1.0:
         raise TraceError(f"correlation must be in (-1, 1), got {correlation!r}")
     itype = _resolve(instance_type)
