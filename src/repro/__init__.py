@@ -84,17 +84,16 @@ from .resilience import (
     FaultInjector,
     FaultSpec,
     FaultyPriceSource,
-    ItemFailure,
     PricePlateau,
     PriceSpike,
     RevocationStorm,
     SlotDropout,
     SlotDuplication,
-    SweepJournal,
     TraceTruncation,
     default_fault_suite,
     run_chaos,
 )
+from .scheduler import ItemFailure, SweepJournal
 from .sweep import SweepCounters, SweepReport, run_sweep
 from .traces import (
     SpotPriceHistory,

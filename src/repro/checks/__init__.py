@@ -8,7 +8,7 @@ this package machine-checks them on every commit instead:
 * **kernel⇄oracle parity** — every batched kernel keeps its one scalar
   oracle, a randomized exact-equivalence test and a bench case and
   lane (RB201);
-* **numeric & lifecycle hygiene** — the ``REPRO_*`` env registry
+* **numeric & lifecycle hygiene** — no ``REPRO_*`` environment reads
   (RB301), the float-equality policy (RB401), shared-memory lifetimes
   (RB501) and the public API surface (RB601).
 

@@ -1,8 +1,7 @@
 """Incremental result cache for the check engine.
 
 Two layers, both stored under ``.repro-check-cache/`` at the repo root
-(override the directory, or disable entirely, via the
-``REPRO_CHECK_CACHE`` environment variable / the CLI's ``--no-cache``):
+(the CLI's ``--no-cache`` skips the cache for one run):
 
 **Per-file entries** (``files.json``)
     Walk findings of one file, keyed by the sha256 of its *content*
@@ -14,8 +13,8 @@ Two layers, both stored under ``.repro-check-cache/`` at the repo root
 
 **Run manifest** (``manifest.json``)
     The full result of the last run plus a record of *everything* the
-    project rules read outside the scan set (extra files and raw texts
-    by content digest, glob patterns by their result lists — see
+    project rules read outside the scan set (extra files by content
+    digest, glob patterns by their result lists — see
     :class:`~repro.checks.engine.ProjectAccesses`).  A rerun whose scan
     set hashes and recorded accesses all match returns the cached
     :class:`~repro.checks.engine.CheckResult` after only re-hashing the
@@ -151,17 +150,15 @@ class CheckCache:
         ):
             return None
         extras = data.get("extras")
-        texts = data.get("texts")
         globs = data.get("globs")
         raw_findings = data.get("findings")
         if (
             not isinstance(extras, dict)
-            or not isinstance(texts, dict)
             or not isinstance(globs, dict)
             or not isinstance(raw_findings, list)
         ):
             return None
-        for rel, digest in {**extras, **texts}.items():
+        for rel, digest in extras.items():
             if rel not in files and _text_digest(self.root / rel) != digest:
                 return None
         for pattern, rels in globs.items():
@@ -224,7 +221,6 @@ class CheckCache:
                 "rule_key": rule_key,
                 "files": files,
                 "extras": recorded.extras,
-                "texts": recorded.texts,
                 "globs": {k: list(v) for k, v in recorded.globs.items()},
                 "files_scanned": result.files_scanned,
                 "findings": [

@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
-from ..constants import CHECK_CACHE
 from .cache import CheckCache
 from .engine import CheckResult, find_root, run_checks
 from .rules import RULES
@@ -68,7 +67,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         dest="no_cache",
         help="skip the incremental result cache (.repro-check-cache/) "
-        "for this run; REPRO_CHECK_CACHE=0 disables it globally",
+        "for this run",
     )
     parser.add_argument(
         "--list-rules",
@@ -156,7 +155,7 @@ def run_check(args: argparse.Namespace) -> int:
         ]
 
     cache: Optional[CheckCache] = None
-    if not getattr(args, "no_cache", False) and CHECK_CACHE.get():
+    if not getattr(args, "no_cache", False):
         cache = CheckCache(root)
 
     result: CheckResult = run_checks(paths, root=root, cache=cache)

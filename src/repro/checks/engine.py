@@ -219,12 +219,11 @@ class ProjectAccesses:
     """Everything a run's project rules read outside the scan set.
 
     Recorded so the incremental cache can prove an unchanged-tree rerun
-    would see identical inputs: extra parsed files and raw texts by
-    content digest, glob patterns by their result lists.
+    would see identical inputs: extra parsed files by content digest,
+    glob patterns by their result lists.
     """
 
     extras: Dict[str, Optional[str]] = field(default_factory=dict)
-    texts: Dict[str, Optional[str]] = field(default_factory=dict)
     globs: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
 
@@ -234,9 +233,9 @@ class Project:
     ``root`` anchors the repo layout (the directory holding
     ``pyproject.toml``); ``scanned`` maps root-relative paths to the
     :class:`FileContext` of every file in the scan set.  Project rules
-    may pull additional files in lazily via :meth:`file` / :meth:`text`
-    / :meth:`glob` — those are parsed once and cached but are *not*
-    themselves scanned for per-file findings.
+    may pull additional files in lazily via :meth:`file` / :meth:`glob`
+    — those are parsed once and cached but are *not* themselves scanned
+    for per-file findings.
     """
 
     def __init__(self, root: Path) -> None:
@@ -273,20 +272,6 @@ class Project:
                     else None
                 )
         return self._extra[rel]
-
-    def text(self, rel: str) -> Optional[str]:
-        """Raw text of a root-relative file (e.g. a markdown doc)."""
-        try:
-            text: Optional[str] = (self.root / rel).read_text(encoding="utf-8")
-        except OSError:
-            text = None
-        if self.accesses is not None:
-            self.accesses.texts[rel] = (
-                hashlib.sha256(text.encode("utf-8")).hexdigest()
-                if text is not None
-                else None
-            )
-        return text
 
     def glob(self, pattern: str) -> List[str]:
         """Root-relative paths matching a glob under the root."""

@@ -9,7 +9,7 @@ id        name                  guards
 ========  ====================  ==========================================
 RB101     determinism           no global RNG state / wall-clock reads
 RB201     kernel-parity         every kernel keeps its oracle+test+bench
-RB301     env-var-registry      REPRO_* reads go through repro.constants
+RB301     no-repro-env-reads    no REPRO_* environment variable is read
 RB401     float-equality        exact parity tests; no nonzero float ==
 RB501     shm-lifecycle         shared memory scoped by with / try-finally
 RB601     api-surface           every __all__ entry is bound
@@ -31,7 +31,7 @@ from ..engine import Rule
 from .api_surface import ApiSurfaceRule
 from .concurrency import AsyncBlockingRule, ForkSafetyRule, MonotonicClockRule
 from .determinism import DeterminismRule
-from .env_registry import EnvRegistryRule
+from .env_reads import ReproEnvReadRule
 from .float_equality import FloatEqualityRule
 from .kernel_parity import KernelParityRule
 from .lifecycle import JournalDurabilityRule, ResourceLifecycleRule
@@ -42,13 +42,13 @@ __all__ = ["RULES", "RULE_PACK_VERSION", "default_rules"]
 #: Version tag of the rule pack, mixed into the incremental cache key —
 #: bump whenever any rule's semantics change, so stale cached findings
 #: cannot survive a rule upgrade.
-RULE_PACK_VERSION = "2026.10.0"
+RULE_PACK_VERSION = "2026.10.1"
 
 #: Shipped rule classes, in id order.
 RULES: List[Type[Rule]] = [
     DeterminismRule,
     KernelParityRule,
-    EnvRegistryRule,
+    ReproEnvReadRule,
     FloatEqualityRule,
     ShmLifecycleRule,
     ApiSurfaceRule,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dataflow import iter_scopes, scope_statements, scope_walk, tainted_names
 from ..engine import FileContext, Reporter, Rule
@@ -220,6 +220,38 @@ def _is_wall_clock_call(node: ast.AST) -> bool:
     return name is not None and name in _WALL_CLOCK_CALLS
 
 
+def _wall_clock_attributes(tree: ast.AST) -> Set[str]:
+    """Attribute names assigned a wall-clock value anywhere in the file.
+
+    ``state.done_at = time.time()`` or ``state.running[key] =
+    time.time()`` in one method taints every read of ``done_at`` and
+    ``running`` in the file, so a deadline another method computes from
+    them is still traced back to the wall clock.
+    """
+    attrs: Set[str] = set()
+    for scope in iter_scopes(tree):
+        tainted = tainted_names(scope.body, _is_wall_clock_call)
+        for stmt in scope_statements(scope.body):
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            if not any(
+                _is_wall_clock_call(sub)
+                or (isinstance(sub, ast.Name) and sub.id in tainted)
+                for sub in ast.walk(value)
+            ):
+                continue
+            for target in targets:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute):
+                    attrs.add(target.attr)
+    return attrs
+
+
 class MonotonicClockRule(Rule):
     rule_id = "RB705"
     name = "monotonic-clock"
@@ -234,20 +266,28 @@ class MonotonicClockRule(Rule):
     node_types = ()
 
     def finish_file(self, ctx: FileContext, report: Reporter) -> None:
+        clock_attrs = _wall_clock_attributes(ctx.tree)
+
+        def is_source(node: ast.AST) -> bool:
+            return _is_wall_clock_call(node) or (
+                isinstance(node, ast.Attribute) and node.attr in clock_attrs
+            )
+
         for scope in iter_scopes(ctx.tree):
-            self._check_scope(scope.body, ctx, report)
+            self._check_scope(scope.body, ctx, report, is_source)
 
     def _check_scope(
         self,
         body: Sequence[ast.stmt],
         ctx: FileContext,
         report: Reporter,
+        is_source: Callable[[ast.AST], bool],
     ) -> None:
-        tainted = tainted_names(body, _is_wall_clock_call)
+        tainted = tainted_names(body, is_source)
 
         def expr_tainted(expr: ast.AST) -> bool:
             for sub in ast.walk(expr):
-                if _is_wall_clock_call(sub):
+                if is_source(sub):
                     return True
                 if isinstance(sub, ast.Name) and sub.id in tainted:
                     return True

@@ -1,7 +1,7 @@
 """RB703/RB704 — durability and resource-lifecycle rules.
 
 * **RB703 journal-durability** — the crash-consistency story of the
-  sweep/shard journals (:class:`repro.resilience.execution.SweepJournal`
+  sweep/shard journals (:class:`repro.scheduler.journal.SweepJournal`
   and subclasses) holds only while (a) every construction site makes an
   *explicit* durability choice — ``fsync=True`` or a justified
   ``fsync=False`` — instead of silently inheriting the non-durable

@@ -46,7 +46,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .constants import seconds
+from .constants import SLOTS_PER_DAY, seconds
 from .core.client import BiddingClient
 from .core.types import (
     CvarDecision,
@@ -378,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("trace", help="bootstrap price-history CSV")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (default: REPRO_SERVE_PORT; 0 = ephemeral)",
+        "--port", type=int, default=7787,
+        help="TCP port (default: %(default)s; 0 = ephemeral)",
     )
     p_serve.add_argument("--ondemand", type=float, default=None)
     p_serve.add_argument(
         "--grid", type=_grid_shape, default=None, metavar="NxM",
-        help="bid-table grid shape (default: REPRO_SERVE_TABLE_GRID)",
+        help="bid-table grid shape (default: 32x8)",
     )
     p_serve.add_argument(
         "--source", choices=("iid", "replay"), default="iid",
@@ -403,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="rebuild tables every N ingested slots",
     )
     p_serve.add_argument(
-        "--stale-slots", type=_positive_int, default=None,
+        "--stale-slots", type=_positive_int, default=SLOTS_PER_DAY,
         help="table staleness TTL in ingested slots "
-        "(default: REPRO_SERVE_STALE_SLOTS)",
+        "(default: %(default)s, one day)",
     )
     p_serve.add_argument(
         "--cache-size", type=_positive_int, default=None,
-        help="decision-cache capacity (default: REPRO_SERVE_CACHE_SIZE)",
+        help="decision-cache capacity (default: 4096)",
     )
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -464,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--seed", type=int, default=0)
     p_load.add_argument(
         "--grid", type=_grid_shape, default=None, metavar="NxM",
-        help="job grid the request mix is drawn from "
-        "(default: REPRO_SERVE_TABLE_GRID)",
+        help="job grid the request mix is drawn from (default: 32x8)",
     )
     p_load.add_argument(
         "--on-grid-fraction", type=_nonnegative_float, default=0.5,
@@ -1020,6 +1019,8 @@ def _build_serve_service(args: argparse.Namespace):
     from .core.distcache import cached_distribution
     from .market.price_sources import IIDPriceSource, TracePriceSource
     from .serve import BidService, DecisionCache, MarketState, default_grid
+    from .serve.cache import DEFAULT_CAPACITY
+    from .serve.tables import DEFAULT_GRID_SHAPE
 
     history = trace_io.read_csv(args.trace)
     ondemand = _resolve_ondemand(args.ondemand, history.instance_type)
@@ -1037,7 +1038,10 @@ def _build_serve_service(args: argparse.Namespace):
         source = IIDPriceSource(
             cached_distribution(history), np.random.default_rng(args.seed)
         )
-    grid = default_grid(shape=args.grid, slot_length=boot.slot_length)
+    grid = default_grid(
+        shape=DEFAULT_GRID_SHAPE if args.grid is None else args.grid,
+        slot_length=boot.slot_length,
+    )
     state = MarketState(
         source,
         initial_history=boot,
@@ -1045,7 +1049,10 @@ def _build_serve_service(args: argparse.Namespace):
         grid=grid,
         rebuild_every=args.rebuild_every,
     )
-    cache = DecisionCache(capacity=args.cache_size, directory=args.cache_dir)
+    cache = DecisionCache(
+        capacity=DEFAULT_CAPACITY if args.cache_size is None else args.cache_size,
+        directory=args.cache_dir,
+    )
     service = BidService(state, cache=cache, stale_after=args.stale_slots)
     return service, state, grid
 
@@ -1053,7 +1060,6 @@ def _build_serve_service(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .constants import SERVE_PORT
     from .serve import IngestLoop, build_requests, run_loadgen, start_server
 
     service, state, grid = _build_serve_service(args)
@@ -1097,13 +1103,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         return asyncio.run(_smoke())
 
-    port = args.port if args.port is not None else SERVE_PORT.get()
-
     async def _run() -> None:
         server = await start_server(
             service,
             host=args.host,
-            port=port,
+            port=args.port,
             ingest=IngestLoop(state, interval=args.interval),
             max_ingest_slots=args.max_slots,
         )
@@ -1127,9 +1131,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
     from .serve import build_requests, default_grid, run_loadgen
+    from .serve.tables import DEFAULT_GRID_SHAPE
 
     history = trace_io.read_csv(args.trace)
-    grid = default_grid(shape=args.grid, slot_length=history.slot_length)
+    grid = default_grid(
+        shape=DEFAULT_GRID_SHAPE if args.grid is None else args.grid,
+        slot_length=history.slot_length,
+    )
     on_grid = args.on_grid_fraction
     if on_grid > 1.0:
         raise ReproError(

@@ -13,8 +13,9 @@ layer (:mod:`repro.serve`) share one seam — and so
 :class:`~repro.core.client.BiddingClient` can import it at module scope
 instead of deferring the import to every construction.
 
-The cache is deliberately process-local and bounded; hit/miss counters
-feed the :class:`~repro.sweep.report.SweepCounters` diagnostics.
+The cache is deliberately process-local and bounded to
+:data:`MAX_ENTRIES` histories; :func:`distribution_cache_stats` reports
+its lifetime hit/miss counters.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..constants import DIST_CACHE_SIZE
 from .distributions import EmpiricalPriceDistribution
 
 __all__ = [
@@ -36,11 +36,8 @@ __all__ = [
 ]
 
 
-def _max_entries() -> int:
-    """Effective cache bound: the ``REPRO_DIST_CACHE_SIZE`` registry
-    entry, re-read per call so the env var also works when set after
-    import (e.g. in spawned pool workers)."""
-    return DIST_CACHE_SIZE.get()
+#: Maximum number of distinct price histories the cache keeps alive.
+MAX_ENTRIES: int = 64
 
 _lock = threading.Lock()
 _cache: "OrderedDict[Tuple[str, Optional[float]], EmpiricalPriceDistribution]" = (
@@ -80,7 +77,7 @@ def cached_distribution(
     with _lock:
         _misses += 1
         _cache[key] = dist
-        while len(_cache) > _max_entries():
+        while len(_cache) > MAX_ENTRIES:
             _cache.popitem(last=False)
     return dist
 

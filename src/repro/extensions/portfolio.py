@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import CVAR_WINDOWS, PORTFOLIO_GRID
 from ..core import costs
 from ..core.distcache import cached_distribution
 from ..core.distributions import PriceDistribution
@@ -57,13 +56,17 @@ __all__ = [
     "cvar_bid",
 ]
 
+#: On-demand fractions the portfolio optimizer scans by default: 33
+#: evenly spaced points on [0, 1].
+ONDEMAND_FRACTIONS: Tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 33).tolist())
+
 
 def portfolio_frontier(
     dist: PriceDistribution,
     job: JobSpec,
     *,
     ondemand_price: float,
-    ondemand_fractions: Optional[Sequence[float]] = None,
+    ondemand_fractions: Sequence[float] = ONDEMAND_FRACTIONS,
     candidates: Optional[Sequence[float]] = None,
 ) -> Dict[str, np.ndarray]:
     """The full mean–variance surface of on-demand/spot splits.
@@ -75,14 +78,11 @@ def portfolio_frontier(
     Infeasible cells (spot work not exceeding the recovery time, or a
     bid violating eq. 14) hold ``inf``.
     """
-    if ondemand_fractions is None:
-        fractions = np.linspace(0.0, 1.0, PORTFOLIO_GRID.get())
-    else:
-        fractions = np.asarray(ondemand_fractions, dtype=float)
-        if fractions.ndim != 1 or fractions.size == 0:
-            raise PlanError("ondemand_fractions must be a non-empty 1-D grid")
-        if float(fractions.min()) < 0.0 or float(fractions.max()) > 1.0:
-            raise PlanError("ondemand_fractions must lie within [0, 1]")
+    fractions = np.asarray(ondemand_fractions, dtype=float)
+    if fractions.ndim != 1 or fractions.size == 0:
+        raise PlanError("ondemand_fractions must be a non-empty 1-D grid")
+    if float(fractions.min()) < 0.0 or float(fractions.max()) > 1.0:
+        raise PlanError("ondemand_fractions must lie within [0, 1]")
     cand = (
         candidate_prices(dist, dist.lower)
         if candidates is None
@@ -109,7 +109,7 @@ def optimal_portfolio_bid(
     *,
     ondemand_price: float,
     max_variance: Optional[float] = None,
-    ondemand_fractions: Optional[Sequence[float]] = None,
+    ondemand_fractions: Sequence[float] = ONDEMAND_FRACTIONS,
 ) -> PortfolioDecision:
     """Jointly choose the on-demand fraction and the spot bid.
 
@@ -206,7 +206,7 @@ def cvar_bid(
     *,
     alpha: float = 0.95,
     bids: Optional[Sequence[float]] = None,
-    n_windows: Optional[int] = None,
+    n_windows: int = 16,
     ondemand_price: Optional[float] = None,
 ) -> CvarDecision:
     """Pick the bid minimizing the CVaR of realized window costs.
@@ -225,7 +225,7 @@ def cvar_bid(
 
     if not 0.0 < alpha < 1.0:
         raise PlanError(f"alpha must be within (0, 1), got {alpha!r}")
-    windows = CVAR_WINDOWS.get() if n_windows is None else int(n_windows)
+    windows = int(n_windows)
     if windows < 1:
         raise PlanError(f"n_windows must be >= 1, got {n_windows!r}")
     dist = cached_distribution(history)

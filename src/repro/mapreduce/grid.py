@@ -42,8 +42,8 @@ from .kernels import TERMINATION_CODES, mapreduce_grid_kernel_event
 from .runner import MapReduceRunResult, TerminationReason, run_plan_on_traces
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.execution import SweepJournal
     from ..resilience.faults import WorkerFaults
+    from ..scheduler.journal import SweepJournal
 
 __all__ = ["MapReduceGridResult", "run_plan_grid"]
 
@@ -222,7 +222,7 @@ def run_plan_grid(
     scheduler (:func:`repro.scheduler.run_shards`) — dynamic dispatch,
     straggler speculation, crash respawn — and the two price stacks
     travel zero-copy via shared memory.  ``journal`` (a path or
-    :class:`~repro.resilience.execution.SweepJournal`) makes the fan-out
+    :class:`~repro.scheduler.journal.SweepJournal`) makes the fan-out
     crash-consistent: finished chunks are fsync'd to disk and a re-run
     with the same grid resumes, recomputing only unfinished chunks.
     ``worker_faults`` injects seeded process-level chaos into the pool

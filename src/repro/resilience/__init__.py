@@ -1,4 +1,4 @@
-"""Fault injection and resilient execution for large backtests.
+"""Fault injection and chaos harnesses for large backtests.
 
 The paper's Section 7 experiments assume clean price traces and an
 uninterrupted backtest loop.  This package drops both assumptions:
@@ -8,13 +8,6 @@ uninterrupted backtest loop.  This package drops both assumptions:
   duplicated slots, revocation storms, truncation) composed by a
   :class:`FaultInjector` that rewrites recorded traces or wraps a live
   market's price source.
-* :mod:`repro.resilience.execution` — the records behind
-  :func:`repro.sweep.run_sweep`'s resilient mode: a shard that keeps
-  failing becomes a structured :class:`ItemFailure` in a partial report
-  instead of aborting the run, and a :class:`SweepJournal` lets an
-  interrupted sweep resume without recomputing finished shards.  The
-  retry, quarantine and journal rules themselves live once, in
-  :func:`repro.scheduler.run_shards`.
 * :mod:`repro.resilience.chaos` — the ``repro-bid chaos`` harness:
   backtest one bid under every fault class and report cost/completion
   degradation relative to the clean run, and (``--kill-workers``) run a
@@ -33,7 +26,6 @@ from .chaos import (
     run_mapreduce_chaos,
     run_worker_chaos,
 )
-from .execution import ItemFailure, JournalWarning, SweepJournal
 from .faults import (
     FaultInjector,
     FaultSpec,
@@ -54,8 +46,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "FaultyPriceSource",
-    "ItemFailure",
-    "JournalWarning",
     "MapReduceChaosReport",
     "MapReduceFaultClassResult",
     "PricePlateau",
@@ -63,7 +53,6 @@ __all__ = [
     "RevocationStorm",
     "SlotDropout",
     "SlotDuplication",
-    "SweepJournal",
     "TraceTruncation",
     "WorkerChaosReport",
     "WorkerFaultPlan",

@@ -6,7 +6,7 @@ serially when one worker (or one shard) is asked for, else on a
 ``ThreadPoolExecutor``, which pays off for kernels that spend their time
 in NumPy with the interpreter lock released.  A failing shard is retried
 at once until it has failed ``max_shard_failures`` times, then recorded
-as an :class:`~repro.resilience.execution.ItemFailure`, as on the pool.
+as an :class:`~repro.scheduler.journal.ItemFailure`, as on the pool.
 
 The lane lives apart from :mod:`repro.scheduler.pool` because that
 module forks: threads alive at fork time would be copied into the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..resilience.execution import ItemFailure, SweepJournal
+from .journal import ItemFailure, SweepJournal
 from .types import Shard
 
 __all__ = ["run_inline"]

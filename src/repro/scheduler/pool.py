@@ -25,11 +25,11 @@ the static pool could not survive:
   incarnation in the same slot.
 * **Poison quarantine.**  A shard that fails on ``max_shard_failures``
   distinct worker incarnations is quarantined as an
-  :class:`~repro.resilience.execution.ItemFailure` row instead of
+  :class:`~repro.scheduler.journal.ItemFailure` row instead of
   wedging the pool.  Every failure retires its incarnation, so the
   failure count is a distinct-incarnation count by construction.
 * **Crash-consistent journals.**  Completed shards append to an fsync'd
-  JSON-lines :class:`~repro.resilience.execution.SweepJournal`; a re-run
+  JSON-lines :class:`~repro.scheduler.journal.SweepJournal`; a re-run
   after the coordinator is SIGKILLed loads it and recomputes only
   unfinished shards.
 
@@ -59,15 +59,9 @@ from typing import (
     Union,
 )
 
-from ..constants import (
-    SCHED_HEARTBEAT_SECONDS,
-    SCHED_MAX_SHARD_FAILURES,
-    SCHED_STRAGGLER_FACTOR,
-    SCHED_STRAGGLER_MIN_SECONDS,
-)
 from ..errors import SweepExecutionError
-from ..resilience.execution import ItemFailure, SweepJournal
 from .inline import run_inline
+from .journal import ItemFailure, SweepJournal
 from .types import SchedulerResult, SchedulerStats, Shard
 from .worker import worker_main
 
@@ -75,6 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..resilience.faults import WorkerFaults
 
 __all__ = ["run_shards"]
+
+#: Failures after which :func:`run_shards` quarantines a shard as poison
+#: (on the pool, on distinct worker incarnations; on the thread lane,
+#: attempts in a row).
+MAX_SHARD_FAILURES: int = 3
 
 #: Coordinator wake-up interval, seconds: the granularity of straggler
 #: detection and liveness checks while no messages arrive.
@@ -124,7 +123,7 @@ class _ShardState:
 class _Worker:
     """One live worker incarnation owned by the coordinator."""
 
-    __slots__ = ("slot", "epoch", "process", "conn", "current", "last_seen")
+    __slots__ = ("slot", "epoch", "process", "conn", "current")
 
     def __init__(self, slot: int, epoch: int, process: Any, conn: Connection):
         self.slot = slot
@@ -133,7 +132,6 @@ class _Worker:
         self.conn = conn
         #: Shard index currently assigned, if any.
         self.current: Optional[int] = None
-        self.last_seen = time.monotonic()
 
     @property
     def key(self) -> _Key:
@@ -154,7 +152,6 @@ class _Coordinator:
         max_shard_failures: int,
         straggler_factor: float,
         straggler_min_seconds: float,
-        heartbeat_seconds: float,
         speculate: bool,
         shard_timeout: Optional[float],
         journal: Optional[SweepJournal],
@@ -167,7 +164,6 @@ class _Coordinator:
         self.max_shard_failures = max_shard_failures
         self.straggler_factor = straggler_factor
         self.straggler_min_seconds = straggler_min_seconds
-        self.heartbeat_seconds = heartbeat_seconds
         self.speculate = speculate
         self.shard_timeout = shard_timeout
         self.journal = journal
@@ -195,7 +191,6 @@ class _Coordinator:
             "workers_respawned": 0,
             "workers_reclaimed": 0,
             "quarantined": 0,
-            "heartbeats": 0,
         }
 
     # -- worker lifecycle --------------------------------------------------
@@ -225,7 +220,6 @@ class _Coordinator:
                 slot,
                 epoch,
                 self.fn,
-                self.heartbeat_seconds,
                 plan,
                 inherited,
             ),
@@ -300,12 +294,8 @@ class _Coordinator:
 
     # -- message handling --------------------------------------------------
     def _on_message(self, worker: _Worker, message: tuple) -> None:
-        worker.last_seen = time.monotonic()
+        """Handle one worker message; ``("ready", ...)`` needs no action."""
         tag = message[0]
-        if tag in ("hb", "ready"):
-            if tag == "hb":
-                self.stats["heartbeats"] += 1
-            return
         if tag == "ok":
             _, index, result = message
             self._on_ok(worker, index, result)
@@ -510,10 +500,9 @@ def run_shards(
     serialize: Callable[[Any], Any] = _identity,
     deserialize: Callable[[Any], Any] = _identity,
     strict: bool = True,
-    max_shard_failures: Optional[int] = None,
-    straggler_factor: Optional[float] = None,
-    straggler_min_seconds: Optional[float] = None,
-    heartbeat_seconds: Optional[float] = None,
+    max_shard_failures: int = MAX_SHARD_FAILURES,
+    straggler_factor: float = 3.0,
+    straggler_min_seconds: float = 1.0,
     speculate: bool = True,
     shard_timeout: Optional[float] = None,
     worker_faults: "Optional[WorkerFaults]" = None,
@@ -529,26 +518,25 @@ def run_shards(
     :class:`~repro.scheduler.types.SchedulerResult` lists results in
     shard order on either lane; shards that failed ``max_shard_failures``
     times (on the pool: on that many distinct worker incarnations) are
-    quarantined as :class:`~repro.resilience.execution.ItemFailure` rows
+    quarantined as :class:`~repro.scheduler.journal.ItemFailure` rows
     (``None`` in ``results``) — or, with ``strict=True`` (the default),
     raise :class:`~repro.errors.SweepExecutionError`.  The thread lane
     retries a failing shard at once.
 
     ``journal`` (a path or an existing
-    :class:`~repro.resilience.execution.SweepJournal`) enables
+    :class:`~repro.scheduler.journal.SweepJournal`) enables
     crash-consistent resume: completed shards are appended — fsync'd
     when given as a path — under their ``keys``, and a re-run returns
     journaled results without recomputing them.
     ``serialize``/``deserialize`` convert results to/from JSON-safe
     payloads.
 
-    ``straggler_factor`` / ``straggler_min_seconds`` /
-    ``heartbeat_seconds`` / ``max_shard_failures`` default to the
-    ``REPRO_SCHED_*`` registry entries.  ``speculate=False`` disables
-    straggler re-dispatch (crash recovery stays on).  ``shard_timeout``
-    kills and respawns a worker whose shard copy exceeds it, counting a
-    failure against the shard.  ``worker_faults`` injects seeded
-    process-level chaos (see
+    On the pool, a running shard older than ``max(straggler_min_seconds,
+    straggler_factor x median completed-shard duration)`` gets one
+    speculative copy; ``speculate=False`` disables that re-dispatch
+    (crash recovery stays on).  ``shard_timeout`` kills and respawns a
+    worker whose shard copy exceeds it, counting a failure against the
+    shard.  ``worker_faults`` injects seeded process-level chaos (see
     :class:`~repro.resilience.faults.WorkerFaults`).  Both need a worker
     that can be killed, so the thread lane rejects them with
     ``ValueError``.
@@ -573,18 +561,10 @@ def run_shards(
         raise SweepExecutionError(
             f"max_workers must be >= 1, got {max_workers!r}"
         )
-    if max_shard_failures is None:
-        max_shard_failures = SCHED_MAX_SHARD_FAILURES.get()
     if max_shard_failures < 1:
         raise SweepExecutionError(
             f"max_shard_failures must be >= 1, got {max_shard_failures!r}"
         )
-    if straggler_factor is None:
-        straggler_factor = SCHED_STRAGGLER_FACTOR.get()
-    if straggler_min_seconds is None:
-        straggler_min_seconds = SCHED_STRAGGLER_MIN_SECONDS.get()
-    if heartbeat_seconds is None:
-        heartbeat_seconds = SCHED_HEARTBEAT_SECONDS.get()
     if shard_timeout is not None and shard_timeout <= 0:
         raise SweepExecutionError(
             f"shard_timeout must be positive, got {shard_timeout!r}"
@@ -634,7 +614,6 @@ def run_shards(
             max_shard_failures=max_shard_failures,
             straggler_factor=straggler_factor,
             straggler_min_seconds=straggler_min_seconds,
-            heartbeat_seconds=heartbeat_seconds,
             speculate=speculate,
             shard_timeout=shard_timeout,
             journal=journal,
@@ -661,7 +640,6 @@ def run_shards(
         workers_respawned=stats_raw.get("workers_respawned", 0),
         workers_reclaimed=stats_raw.get("workers_reclaimed", 0),
         quarantined=stats_raw.get("quarantined", 0),
-        heartbeats=stats_raw.get("heartbeats", 0),
     )
     if strict and failures:
         first = failures[0]

@@ -3,9 +3,9 @@
 The coordinator (:mod:`repro.scheduler.pool`) and the worker entry point
 (:mod:`repro.scheduler.worker`) communicate over duplex pipes with small
 tagged tuples; everything the caller sees afterwards is one of the frozen
-dataclasses below.  Failures reuse
-:class:`repro.resilience.execution.ItemFailure` so partial scheduler runs
-surface exactly like partial resilient sweeps.
+dataclasses below.  Failures are
+:class:`repro.scheduler.journal.ItemFailure` records, so partial
+scheduler runs surface exactly like partial resilient sweeps.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from ..resilience.execution import ItemFailure
+from .journal import ItemFailure
 
 __all__ = ["Shard", "SchedulerStats", "SchedulerResult"]
 
@@ -56,21 +56,6 @@ class SchedulerStats:
     workers_respawned: int = 0
     workers_reclaimed: int = 0
     quarantined: int = 0
-    heartbeats: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "reused": self.reused,
-            "dispatched": self.dispatched,
-            "speculated": self.speculated,
-            "duplicates_dropped": self.duplicates_dropped,
-            "worker_crashes": self.worker_crashes,
-            "workers_respawned": self.workers_respawned,
-            "workers_reclaimed": self.workers_reclaimed,
-            "quarantined": self.quarantined,
-            "heartbeats": self.heartbeats,
-        }
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """The scheduler's worker-process entry point.
 
 One worker is one long-lived process running :func:`worker_main`: it
-announces itself, starts a heartbeat thread, then loops pulling shard
-assignments off its pipe, running the shard function, and sending the
-result back.  All messages are small tagged tuples; the connection is
-shared between the main loop and the heartbeat thread, so every send
-goes through one lock.
+announces itself, then loops pulling shard assignments off its pipe,
+running the shard function, and sending the result back.  All messages
+are small tagged tuples.  The coordinator learns of a dead worker from
+pipe EOF or the process's exit, and of a silent one from its shard
+timeout.
 
 Chaos hooks live here too: a :class:`~repro.resilience.faults.WorkerFaultPlan`
 (computed by the parent, per worker epoch, from a seeded injector) can
@@ -18,7 +18,6 @@ must survive.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
@@ -34,7 +33,6 @@ def worker_main(
     worker_id: int,
     epoch: int,
     fn: Callable[[Any], Any],
-    heartbeat_seconds: float,
     plan: "Optional[WorkerFaultPlan]" = None,
     inherited: Sequence[Connection] = (),
 ) -> None:
@@ -49,30 +47,23 @@ def worker_main(
     """
     for end in inherited:
         end.close()
-    send_lock = threading.Lock()
-    stop = threading.Event()
 
-    def send(message: tuple) -> None:
+    def send(message: tuple) -> bool:
+        """Send ``message``; ``False`` once the coordinator is gone."""
         try:
-            with send_lock:
-                conn.send(message)
+            conn.send(message)
         except (BrokenPipeError, OSError):  # parent died; nothing to do
-            stop.set()
-
-    def heartbeat() -> None:
-        while not stop.wait(heartbeat_seconds):
-            send(("hb", worker_id))
+            return False
+        return True
 
     if plan is not None and plan.slow_start_seconds > 0:
         time.sleep(plan.slow_start_seconds)
 
-    beater = threading.Thread(target=heartbeat, daemon=True)
-    beater.start()
-    send(("ready", worker_id, epoch))
+    connected = send(("ready", worker_id, epoch))
 
     shard_seq = 0  # worker-local count of assignments, drives chaos plans
     try:
-        while not stop.is_set():
+        while connected:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
@@ -98,11 +89,12 @@ def worker_main(
             try:
                 result = fn(payload)
             except BaseException as exc:
-                send(("err", shard_index, type(exc).__name__, str(exc)))
+                connected = send(
+                    ("err", shard_index, type(exc).__name__, str(exc))
+                )
             else:
-                send(("ok", shard_index, result))
+                connected = send(("ok", shard_index, result))
     finally:
-        stop.set()
         try:
             from ..sweep.shm import close_stacks
 

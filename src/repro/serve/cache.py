@@ -7,8 +7,8 @@ version that produced them.  A version mismatch on read counts as
 current generation, so a table rebuild implicitly invalidates every
 cached decision without a scan.
 
-The memory tier is a bounded ``OrderedDict`` LRU (capacity from the
-``REPRO_SERVE_CACHE_SIZE`` registry entry).  The optional file tier
+The memory tier is a bounded ``OrderedDict`` LRU (:data:`DEFAULT_CAPACITY`
+entries unless the caller asks for another bound).  The optional file tier
 persists entries as JSON (via :mod:`repro.serve.protocol`, whose float
 round-trip is exact) so a restarted daemon starts warm; it is
 best-effort — unreadable or corrupt files count as misses, never errors.
@@ -23,12 +23,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..constants import SERVE_CACHE_SIZE
 from ..core.types import DecisionRequest, DecisionResponse
 from ..errors import ServeError
 from .protocol import decision_from_wire, decision_to_wire
 
 __all__ = ["CacheStats", "DecisionCache"]
+
+#: Memory-tier bound of a :class:`DecisionCache`, in decisions.
+DEFAULT_CAPACITY: int = 4096
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class DecisionCache:
     Parameters
     ----------
     capacity:
-        Memory-tier bound; defaults to the registered
-        ``REPRO_SERVE_CACHE_SIZE`` value (re-read at construction).
+        Memory-tier bound, in decisions.
     directory:
         Optional file-tier root.  Created on first write; one JSON file
         per bucket key.
@@ -102,11 +103,9 @@ class DecisionCache:
     def __init__(
         self,
         *,
-        capacity: Optional[int] = None,
+        capacity: int = DEFAULT_CAPACITY,
         directory: Optional[Union[str, Path]] = None,
     ):
-        if capacity is None:
-            capacity = SERVE_CACHE_SIZE.get()
         if capacity < 1:
             raise ServeError(f"cache capacity must be >= 1, got {capacity!r}")
         self._capacity = int(capacity)

@@ -23,7 +23,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..constants import SERVE_STALE_SLOTS
+from ..constants import SLOTS_PER_DAY
 from ..core.types import DecisionRequest, DecisionResponse
 from ..errors import InfeasibleBidError, ServeError
 from .cache import DecisionCache
@@ -74,12 +74,11 @@ class BidService:
         :class:`~repro.serve.tables.BidTableSet` answers requests.
     cache:
         Optional decision cache; omit to construct a default
-        memory-only cache sized by ``REPRO_SERVE_CACHE_SIZE``.
+        memory-only :class:`~repro.serve.cache.DecisionCache`.
     stale_after:
-        Table TTL in ingested slots (default: the registered
-        ``REPRO_SERVE_STALE_SLOTS`` value).  Older tables degrade to the
-        on-demand fallback instead of serving prices computed from a
-        market that has since moved.
+        Table TTL in ingested slots (default: one day of slots).  Older
+        tables degrade to the on-demand fallback instead of serving
+        prices computed from a market that has since moved.
     """
 
     def __init__(
@@ -87,10 +86,8 @@ class BidService:
         state: MarketState,
         *,
         cache: Optional[DecisionCache] = None,
-        stale_after: Optional[int] = None,
+        stale_after: int = SLOTS_PER_DAY,
     ):
-        if stale_after is None:
-            stale_after = SERVE_STALE_SLOTS.get()
         if stale_after < 1:
             raise ServeError(f"stale_after must be >= 1, got {stale_after!r}")
         self.state = state

@@ -29,7 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import DEFAULT_SLOT_HOURS, SERVE_TABLE_GRID
+from ..constants import DEFAULT_SLOT_HOURS
 from ..core.client import BiddingClient
 from ..core.types import (
     BidDecision,
@@ -53,6 +53,10 @@ __all__ = [
 #: Strategies answered from precomputed tables; PERCENTILE decisions are
 #: cheap single-quantile reads and stay on the inline path.
 TABLED_STRATEGIES: Tuple[Strategy, ...] = (Strategy.ONE_TIME, Strategy.PERSISTENT)
+
+#: Bid-table resolution of :func:`default_grid`: execution-time points
+#: by recovery-time points.
+DEFAULT_GRID_SHAPE: Tuple[int, int] = (32, 8)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class TableGrid:
 
 def default_grid(
     *,
-    shape: Optional[Tuple[int, int]] = None,
+    shape: Tuple[int, int] = DEFAULT_GRID_SHAPE,
     max_execution: float = 24.0,
     max_recovery: float = 120.0 / 3600.0,
     slot_length: float = DEFAULT_SLOT_HOURS,
@@ -169,10 +173,9 @@ def default_grid(
     geometric grid (bid prices vary fastest for short jobs, where
     ``1 - t_k/t_s`` moves quickly); recovery times span zero to
     ``max_recovery`` linearly, covering the paper's 10 s/30 s regimes
-    with room to spare.  ``shape`` defaults to the registered
-    ``REPRO_SERVE_TABLE_GRID`` value.
+    with room to spare.  ``shape`` is ``(t_s points, t_r points)``.
     """
-    n_ts, n_tr = shape if shape is not None else SERVE_TABLE_GRID.get()
+    n_ts, n_tr = shape
     if n_ts < 2 or n_tr < 1:
         raise ServeError(
             f"grid shape needs at least 2x1 points, got {n_ts}x{n_tr}"

@@ -27,7 +27,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.distcache import distribution_cache_stats
 from ..core.types import JobSpec, Strategy, normalize_strategy
 from ..errors import MarketError
 from .kernels import onetime_sweep_kernel, persistent_sweep_kernel
@@ -35,8 +34,8 @@ from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, open_stack
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.execution import SweepJournal
     from ..resilience.faults import FaultInjector, WorkerFaults
+    from ..scheduler.journal import SweepJournal
 
 __all__ = ["run_sweep"]
 
@@ -156,34 +155,23 @@ def _resolve_payload(payload: Tuple[Any, ...]) -> Tuple[np.ndarray, np.ndarray]:
 
 def _run_kernel_chunk(args: Tuple[Any, ...]) -> dict:
     """Top-level (picklable) kernel dispatcher: the shard function
-    :func:`run_sweep` hands to :func:`repro.scheduler.run_shards`.
-
-    Besides the kernel fields, the returned dict reports the chunk's
-    distribution-cache hit/miss delta so process workers — whose caches
-    are invisible to the parent — still feed ``SweepCounters``.
-    """
+    :func:`run_sweep` hands to :func:`repro.scheduler.run_shards`."""
     strategy_value, payload, bids, work, recovery_time, slot_length = args
     prices, n_valid = _resolve_payload(payload)
-    hits0, misses0 = distribution_cache_stats()
     # The kernels are module globals looked up at call time, so a
     # function swapped in at the module attribute is the one that runs.
     if Strategy(strategy_value) is Strategy.ONE_TIME:
-        result = onetime_sweep_kernel(
+        return onetime_sweep_kernel(
             prices, bids, work=work, slot_length=slot_length, n_valid=n_valid
         )
-    else:
-        result = persistent_sweep_kernel(
-            prices,
-            bids,
-            work=work,
-            recovery_time=recovery_time,
-            slot_length=slot_length,
-            n_valid=n_valid,
-        )
-    hits1, misses1 = distribution_cache_stats()
-    result["cache_hits"] = hits1 - hits0
-    result["cache_misses"] = misses1 - misses0
-    return result
+    return persistent_sweep_kernel(
+        prices,
+        bids,
+        work=work,
+        recovery_time=recovery_time,
+        slot_length=slot_length,
+        n_valid=n_valid,
+    )
 
 
 def _serialize_kernel_result(result: dict) -> dict:
@@ -221,8 +209,6 @@ def _failure_placeholder(n_bids: int) -> dict:
         "recovery_time_used": np.full((1, n_bids), np.nan),
         "interruptions": np.zeros((1, n_bids), dtype=np.int64),
         "slots_simulated": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
     }
 
 
@@ -285,7 +271,7 @@ def run_sweep(
         land in ``SweepReport.failures`` (their rows become NaN
         placeholders) instead of raising
         :class:`~repro.errors.SweepExecutionError`.  ``journal`` (a path
-        or :class:`~repro.resilience.execution.SweepJournal`) persists
+        or :class:`~repro.scheduler.journal.SweepJournal`) persists
         finished traces so an interrupted sweep resumes without
         recomputing them.  ``item_timeout`` kills and respawns a worker
         whose shard exceeds it, so it needs ``executor="process"``.
@@ -300,7 +286,7 @@ def run_sweep(
     -------
     SweepReport
         Per-cell outcome arrays, bitwise identical to the fastpath
-        oracle, plus work/cache counters and the scheduler's stats.
+        oracle, plus work counters and the scheduler's stats.
     """
     strategy = normalize_strategy(strategy)
     if not strategy.sweepable:
@@ -344,7 +330,6 @@ def run_sweep(
         kernel_bids = bid_values
 
     recovery = job.recovery_time if strategy is Strategy.PERSISTENT else 0.0
-    hits0, misses0 = distribution_cache_stats()
     n_cols = 1 if pair_bids else int(kernel_bids.shape[-1])
 
     resilient = (
@@ -352,8 +337,7 @@ def run_sweep(
     )
     fan_out = max_workers is not None and max_workers > 1
     # Chunks cross a process boundary exactly when the scheduler pool
-    # will be used; only then is the price stack worth sharing (and
-    # only then do worker-local cache counters need merging back).
+    # will be used; only then is the price stack worth sharing.
     out_of_process = executor == "process" and (
         fan_out or item_timeout is not None or worker_faults is not None
     )
@@ -377,7 +361,7 @@ def run_sweep(
         chunks = [np.arange(n_traces)]
 
     if journal is not None:
-        from ..resilience.execution import SweepJournal
+        from ..scheduler.journal import SweepJournal
 
         if not isinstance(journal, SweepJournal):
             # Non-durable on purpose: the sweep journal is a resume
@@ -398,6 +382,7 @@ def run_sweep(
             )
 
     from ..scheduler import run_shards
+    from ..scheduler.pool import MAX_SHARD_FAILURES
 
     stack: Optional[SharedPriceStack] = None
     try:
@@ -437,7 +422,7 @@ def run_sweep(
             serialize=_serialize_kernel_result,
             deserialize=_deserialize_kernel_result,
             strict=strict,
-            max_shard_failures=(retries + 1) if resilient else None,
+            max_shard_failures=(retries + 1) if resilient else MAX_SHARD_FAILURES,
             shard_timeout=item_timeout,
             worker_faults=worker_faults,
         )
@@ -452,35 +437,11 @@ def run_sweep(
     merged = {
         key: np.concatenate([r[key] for r in results], axis=0) for key in _FIELDS
     }
-    slots = int(sum(r["slots_simulated"] for r in results))
-    hits1, misses1 = distribution_cache_stats()
-    # In-process chunks already moved the parent counters; process-pool
-    # chunks report their own worker-local deltas (journal-reused items
-    # excluded — their recorded deltas were spent in an earlier run).
-    worker_hits = worker_misses = 0
-    if out_of_process:
-        reused = frozenset(sched.reused)
-        worker_hits = int(
-            sum(
-                r.get("cache_hits", 0)
-                for i, r in enumerate(results)
-                if i not in reused
-            )
-        )
-        worker_misses = int(
-            sum(
-                r.get("cache_misses", 0)
-                for i, r in enumerate(results)
-                if i not in reused
-            )
-        )
     counters = SweepCounters(
         n_traces=n_traces,
         n_bids=n_cols,
-        slots_simulated=slots,
+        slots_simulated=int(sum(r["slots_simulated"] for r in results)),
         kernel_seconds=kernel_seconds,
-        cache_hits=(hits1 - hits0) + worker_hits,
-        cache_misses=(misses1 - misses0) + worker_misses,
     )
     return SweepReport(
         strategy=strategy,

@@ -11,7 +11,7 @@ from ..core.types import Strategy
 from ..market.outcomes import OutcomeStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.execution import ItemFailure
+    from ..scheduler.journal import ItemFailure
     from ..scheduler.types import SchedulerStats
 
 __all__ = ["SweepCounters", "SweepReport"]
@@ -19,7 +19,7 @@ __all__ = ["SweepCounters", "SweepReport"]
 
 @dataclass(frozen=True)
 class SweepCounters:
-    """Work and cache accounting for one :func:`~repro.sweep.run_sweep`."""
+    """Work accounting for one :func:`~repro.sweep.run_sweep`."""
 
     n_traces: int
     n_bids: int
@@ -29,9 +29,6 @@ class SweepCounters:
     #: :func:`~repro.scheduler.run_shards` call: the kernels plus, on
     #: the process lane, pool start-up, IPC and journal writes.
     kernel_seconds: float
-    #: Distribution-cache hits/misses observed during this sweep.
-    cache_hits: int
-    cache_misses: int
 
     @property
     def cells(self) -> int:

@@ -26,6 +26,10 @@ __all__ = ["write_csv", "read_csv", "dumps_csv", "loads_csv"]
 
 _HEADER = ("slot", "time_hours", "price")
 
+#: How far a row's timestamp may sit off the slot grid, in hours:
+#: :func:`dumps_csv` writes timestamps to 6 decimals.
+_GRID_ATOL_HOURS = 1e-5
+
 
 def dumps_csv(history: SpotPriceHistory) -> str:
     """Serialize a trace to CSV text."""
@@ -56,6 +60,13 @@ def loads_csv(text: str, *, repair: bool = False) -> SpotPriceHistory:
     With ``repair=True`` the rows are instead sorted by timestamp and
     negative prices clipped to zero, with a :class:`UserWarning`
     describing what was fixed.
+
+    The rows must then cover consecutive slots: the first timestamp must
+    be ``start_hour`` and each later one a ``slot_length_hours`` step
+    after the previous row.  A missing or extra row raises
+    :class:`~repro.errors.TraceError` naming the first row off the slot
+    grid, with or without ``repair`` — repair does not fill gaps, since
+    any price it made up would be a guess.
     """
     instance_type = None
     slot_length = DEFAULT_SLOT_HOURS
@@ -124,6 +135,7 @@ def loads_csv(text: str, *, repair: bool = False) -> SpotPriceHistory:
     if repair:
         if n_unsorted or n_negative:
             order = np.argsort(times, kind="stable")
+            times = [times[i] for i in order]
             prices = [max(0.0, prices[i]) for i in order]
             warnings.warn(
                 f"repaired trace: sorted {n_unsorted} out-of-order row(s), "
@@ -145,6 +157,22 @@ def loads_csv(text: str, *, repair: bool = False) -> SpotPriceHistory:
                     f"negative price {price!r} in data row {i}; "
                     f"pass repair=True to clip"
                 )
+    # A missing row would otherwise shift every later price one slot
+    # earlier in time.  Written as "not within", so NaN fails too.
+    if not abs(times[0] - start_hour) <= _GRID_ATOL_HOURS:
+        raise TraceError(
+            f"data row 0 is at {times[0]:.6f} h, not at start_hour "
+            f"{start_hour:.6f} h; rows must cover consecutive slots"
+        )
+    steps = np.diff(times)
+    (off_grid,) = np.nonzero(~(np.abs(steps - slot_length) <= _GRID_ATOL_HOURS))
+    if off_grid.size:
+        i = int(off_grid[0]) + 1
+        raise TraceError(
+            f"data row {i} is {steps[i - 1]:.6f} h after the previous row, "
+            f"not one slot ({slot_length:.6f} h); rows must cover "
+            f"consecutive slots"
+        )
     return SpotPriceHistory(
         prices=prices,
         slot_length=slot_length,

@@ -21,6 +21,7 @@ PACKAGES = [
     "repro.experiments",
     "repro.sweep",
     "repro.resilience",
+    "repro.scheduler",
     "repro.serve",
 ]
 
@@ -64,7 +65,7 @@ MODULES = [
     "repro.extensions.spot_blocks",
     "repro.analysis.trace_stats",
     "repro.resilience.faults",
-    "repro.resilience.execution",
+    "repro.scheduler.journal",
     "repro.resilience.chaos",
     "repro.serve.tables",
     "repro.serve.ingest",
@@ -155,3 +156,4 @@ def test_root_exports_cover_the_resilience_layer():
         assert symbol in repro.__all__
         assert hasattr(repro, symbol)
     assert repro.run_chaos is repro.resilience.run_chaos
+    assert repro.SweepJournal is repro.scheduler.SweepJournal

@@ -1,7 +1,7 @@
 """The incremental result cache: hits, invalidation, and speedup.
 
 Covers the two cache layers (per-file entries, run manifest), the
-``REPRO_CHECK_CACHE`` / ``--no-cache`` switches, and the headline
+``--no-cache`` switch, and the headline
 guarantee — an unchanged-tree re-check is at least 5x faster than the
 cold run at the engine level.
 """
@@ -159,27 +159,42 @@ class TestManifest:
         assert warm.stats["manifest_hits"] == 0
 
     def test_project_read_outside_scan_set_invalidates(self, tmp_path):
-        # RB301 reads docs/development.md through Project.text() when a
-        # constants registry is scanned; editing the doc must defeat the
+        # RB201 parses tests/**/test_*.py through Project.file() even
+        # when only src is scanned; editing such a test must defeat the
         # manifest even though it is not in the scan set.
-        registry = """\
-            def EnvVar(name, default=None):
-                return name
+        write_project(
+            tmp_path,
+            {
+                "src/repro/sweep/kernels.py": """\
+                    __all__ = ["foo_sweep_kernel"]
 
-            REPRO_X = EnvVar(name="REPRO_X")
-        """
-        write_project(tmp_path, {"src/repro/constants.py": registry})
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        (docs / "development.md").write_text("| REPRO_X | on | switch |\n")
+                    def foo_sweep_kernel():
+                        return 0
+                """,
+                "src/repro/market/fastpath.py": """\
+                    def fast_foo_outcome():
+                        return 0
+                """,
+                "tests/test_foo_equivalence.py": """\
+                    import numpy as np
+                    from repro.market.fastpath import fast_foo_outcome
+                    from repro.sweep.kernels import foo_sweep_kernel
+
+                    def test_equivalence():
+                        rng = np.random.default_rng(0)
+                        assert foo_sweep_kernel() == fast_foo_outcome()
+                """,
+            },
+        )
         first = run(tmp_path, CheckCache(tmp_path))
         assert first.findings == ()
 
         warm = CheckCache(tmp_path)
         second = run(tmp_path, warm)
-        assert warm.stats["manifest_hits"] == 1  # doc untouched: replay
+        assert warm.stats["manifest_hits"] == 1  # test untouched: replay
 
-        (docs / "development.md").write_text("| REPRO_X | on | edited |\n")
+        test = tmp_path / "tests" / "test_foo_equivalence.py"
+        test.write_text(test.read_text() + "\n# edited\n")
         cold_again = CheckCache(tmp_path)
         run(tmp_path, cold_again)
         assert cold_again.stats["manifest_hits"] == 0
@@ -243,32 +258,22 @@ class TestSpeedup:
 
 
 class TestCLISwitches:
-    def test_cache_dir_created_by_default(self, tmp_path, monkeypatch, capsys):
+    def test_cache_dir_created_by_default(self, tmp_path, capsys):
         write_project(tmp_path, {"src/a.py": CLEAN_MODULE})
-        monkeypatch.delenv("REPRO_CHECK_CACHE", raising=False)
         code = checks_main(["--root", str(tmp_path), str(tmp_path / "src")])
         assert code == 0
         assert (tmp_path / CACHE_DIR_NAME).is_dir()
 
-    def test_env_zero_disables(self, tmp_path, monkeypatch, capsys):
+    def test_no_cache_flag_disables(self, tmp_path, capsys):
         write_project(tmp_path, {"src/a.py": CLEAN_MODULE})
-        monkeypatch.setenv("REPRO_CHECK_CACHE", "0")
-        code = checks_main(["--root", str(tmp_path), str(tmp_path / "src")])
-        assert code == 0
-        assert not (tmp_path / CACHE_DIR_NAME).exists()
-
-    def test_no_cache_flag_disables(self, tmp_path, monkeypatch, capsys):
-        write_project(tmp_path, {"src/a.py": CLEAN_MODULE})
-        monkeypatch.delenv("REPRO_CHECK_CACHE", raising=False)
         code = checks_main(
             ["--no-cache", "--root", str(tmp_path), str(tmp_path / "src")]
         )
         assert code == 0
         assert not (tmp_path / CACHE_DIR_NAME).exists()
 
-    def test_findings_exit_code_survives_warm_runs(self, tmp_path, monkeypatch, capsys):
+    def test_findings_exit_code_survives_warm_runs(self, tmp_path, capsys):
         write_project(tmp_path, {"src/a.py": DIRTY_MODULE})
-        monkeypatch.delenv("REPRO_CHECK_CACHE", raising=False)
         args = ["--root", str(tmp_path), str(tmp_path / "src")]
         assert checks_main(args) == 1
         assert checks_main(args) == 1  # warm: same verdict

@@ -259,6 +259,23 @@ class TestMonotonicClockRB705:
         result = check(tmp_path, {"src/m.py": source}, MonotonicClockRule)
         assert rule_ids(result) == ["RB705"]
 
+    def test_wall_clock_attribute_read_in_another_method_flagged(self, tmp_path):
+        # The stamp is stored on an object in one method and compared
+        # against a deadline in another; the attribute carries the taint.
+        source = """\
+            import time
+
+            class Shard:
+                def start(self):
+                    self.started = time.time()
+
+                def overdue(self, now, timeout):
+                    return now - self.started > timeout
+        """
+        result = check(tmp_path, {"src/m.py": source}, MonotonicClockRule)
+        assert rule_ids(result) == ["RB705"]
+        assert result.findings[0].line == 8
+
     def test_monotonic_deadlines_are_clean(self, tmp_path):
         source = """\
             import time

@@ -34,7 +34,7 @@ def rule_ids(result):
 class TestJournalDurabilityRB703:
     def test_sweepjournal_without_fsync_choice_flagged(self, tmp_path):
         source = """\
-            from repro.resilience.execution import SweepJournal
+            from repro.scheduler.journal import SweepJournal
 
             def make(path):
                 return SweepJournal(path, signature={})
@@ -45,7 +45,7 @@ class TestJournalDurabilityRB703:
 
     def test_explicit_fsync_true_is_clean(self, tmp_path):
         source = """\
-            from repro.resilience.execution import SweepJournal
+            from repro.scheduler.journal import SweepJournal
 
             def make(path):
                 return SweepJournal(path, fsync=True)
@@ -57,7 +57,7 @@ class TestJournalDurabilityRB703:
         # An explicit non-durable choice is a *choice*; the rule only
         # rejects silently inheriting the default.
         source = """\
-            from repro.resilience.execution import SweepJournal
+            from repro.scheduler.journal import SweepJournal
 
             def make(path):
                 return SweepJournal(path, fsync=False)
@@ -67,7 +67,7 @@ class TestJournalDurabilityRB703:
 
     def test_kwargs_forwarding_is_clean(self, tmp_path):
         source = """\
-            from repro.resilience.execution import SweepJournal
+            from repro.scheduler.journal import SweepJournal
 
             def make(path, **kwargs):
                 return SweepJournal(path, **kwargs)
@@ -126,7 +126,7 @@ class TestJournalDurabilityRB703:
 
     def test_tests_are_exempt(self, tmp_path):
         source = """\
-            from repro.resilience.execution import SweepJournal
+            from repro.scheduler.journal import SweepJournal
 
             def test_make(path):
                 return SweepJournal(path)
@@ -141,7 +141,7 @@ class TestJournalDurabilityRB703:
 
     def test_noqa_suppresses(self, tmp_path):
         source = """\
-            from repro.resilience.execution import SweepJournal
+            from repro.scheduler.journal import SweepJournal
 
             def make(path):
                 return SweepJournal(path)  # repro: noqa(RB703)

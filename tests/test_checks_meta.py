@@ -217,7 +217,7 @@ class TestRB7xxGuardRealModules:
     def test_rb703_dropping_fsync_from_journal_fails(self, tmp_path):
         from repro.checks.rules.lifecycle import JournalDurabilityRule
 
-        rel = "src/repro/resilience/execution.py"
+        rel = "src/repro/scheduler/journal.py"
         self.copy_module(tmp_path, rel)
         assert self.run_rule(tmp_path, JournalDurabilityRule()).findings == ()
 
@@ -249,7 +249,7 @@ class TestRB7xxGuardRealModules:
     def test_rb704_leaky_helper_in_journal_module_fails(self, tmp_path):
         from repro.checks.rules.lifecycle import ResourceLifecycleRule
 
-        rel = "src/repro/resilience/execution.py"
+        rel = "src/repro/scheduler/journal.py"
         self.copy_module(tmp_path, rel)
         assert self.run_rule(tmp_path, ResourceLifecycleRule()).findings == ()
 

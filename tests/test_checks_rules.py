@@ -13,7 +13,7 @@ from repro.checks import run_checks
 from repro.checks.rules import RULES
 from repro.checks.rules.api_surface import ApiSurfaceRule
 from repro.checks.rules.determinism import DeterminismRule
-from repro.checks.rules.env_registry import EnvRegistryRule
+from repro.checks.rules.env_reads import ReproEnvReadRule
 from repro.checks.rules.float_equality import FloatEqualityRule
 from repro.checks.rules.kernel_parity import KernelParityRule
 from repro.checks.rules.shm_lifecycle import ShmLifecycleRule
@@ -248,71 +248,37 @@ class TestKernelParityRB201:
 class TestEnvRegistryRB301:
     def test_direct_environ_subscript_flagged(self, tmp_path):
         source = "import os\nx = os.environ['REPRO_FOO']\n"
-        result = check(tmp_path, {"src/m.py": source}, EnvRegistryRule)
+        result = check(tmp_path, {"src/m.py": source}, ReproEnvReadRule)
         assert rule_ids(result) == ["RB301"]
 
     def test_os_getenv_flagged(self, tmp_path):
         source = "import os\nx = os.getenv('REPRO_FOO', 'dflt')\n"
-        result = check(tmp_path, {"src/m.py": source}, EnvRegistryRule)
+        result = check(tmp_path, {"src/m.py": source}, ReproEnvReadRule)
         assert rule_ids(result) == ["RB301"]
 
     def test_environ_get_flagged(self, tmp_path):
         source = "import os\nx = os.environ.get('REPRO_FOO')\n"
-        result = check(tmp_path, {"src/m.py": source}, EnvRegistryRule)
+        result = check(tmp_path, {"src/m.py": source}, ReproEnvReadRule)
         assert rule_ids(result) == ["RB301"]
 
     def test_non_repro_vars_ignored(self, tmp_path):
         source = "import os\nx = os.environ.get('HOME')\n"
-        result = check(tmp_path, {"src/m.py": source}, EnvRegistryRule)
+        result = check(tmp_path, {"src/m.py": source}, ReproEnvReadRule)
         assert result.findings == ()
 
-    def test_registry_module_is_exempt(self, tmp_path):
-        source = (
-            "import os\n"
-            "x = os.environ.get('REPRO_FOO')\n"
-            "FOO = EnvVar(name='REPRO_FOO', default='1')\n"
-        )
+    def test_constants_module_is_not_exempt(self, tmp_path):
+        source = "import os\nx = os.environ.get('REPRO_FOO')\n"
         result = check(
-            tmp_path,
-            {
-                "src/repro/constants.py": source,
-                "docs/development.md": "| `REPRO_FOO` |\n",
-            },
-            EnvRegistryRule,
-        )
-        assert result.findings == ()
-
-    def test_registered_var_missing_from_docs_flagged(self, tmp_path):
-        registry = "X = EnvVar(name='REPRO_X', default='1')\n"
-        result = check(
-            tmp_path,
-            {
-                "src/repro/constants.py": registry,
-                "docs/development.md": "# nothing here\n",
-            },
-            EnvRegistryRule,
+            tmp_path, {"src/repro/constants.py": source}, ReproEnvReadRule
         )
         assert rule_ids(result) == ["RB301"]
-        assert "missing from" in result.findings[0].message
-
-    def test_documented_registered_var_clean(self, tmp_path):
-        registry = "X = EnvVar(name='REPRO_X', default='1')\n"
-        result = check(
-            tmp_path,
-            {
-                "src/repro/constants.py": registry,
-                "docs/development.md": "| `REPRO_X` | ... |\n",
-            },
-            EnvRegistryRule,
-        )
-        assert result.findings == ()
 
     def test_noqa_suppresses(self, tmp_path):
         source = (
             "import os\n"
             "x = os.environ['REPRO_FOO']  # repro: noqa(RB301)\n"
         )
-        result = check(tmp_path, {"src/m.py": source}, EnvRegistryRule)
+        result = check(tmp_path, {"src/m.py": source}, ReproEnvReadRule)
         assert result.findings == ()
 
 

@@ -1,8 +1,16 @@
-"""Unit conversions and global constants."""
+"""Unit conversions, global constants, and the defaults of the settings
+that were once ``REPRO_*`` environment variables."""
 
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.constants import (
     DEFAULT_SLOT_HOURS,
@@ -44,168 +52,173 @@ def test_negative_durations_rejected(fn):
 
 
 class TestEnvVarRegistry:
-    """The central REPRO_* registry (EnvVar / ENV_VARS / env_var)."""
+    """Each former ``REPRO_*`` setting keeps one setter, at its old default."""
 
-    def test_defaults_apply_when_unset(self, monkeypatch):
-        from repro.constants import DIST_CACHE_SIZE, SERVE_TABLE_GRID
+    def test_defaults_apply_when_unset(self):
+        from repro.core import distcache
+        from repro.serve.tables import DEFAULT_GRID_SHAPE, default_grid
 
-        monkeypatch.delenv("REPRO_SERVE_TABLE_GRID", raising=False)
-        monkeypatch.delenv("REPRO_DIST_CACHE_SIZE", raising=False)
-        assert SERVE_TABLE_GRID.get() == (32, 8)
-        assert DIST_CACHE_SIZE.get() == 64
+        assert DEFAULT_GRID_SHAPE == (32, 8)
+        assert default_grid().shape == (32, 8)
+        assert distcache.MAX_ENTRIES == 64
 
-    def test_empty_and_whitespace_mean_default(self, monkeypatch):
-        from repro.constants import SERVE_TABLE_GRID
+    def test_serve_vars_parse_and_validate(self):
+        import argparse
 
-        for raw in ("", "   "):
-            monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", raw)
-            assert SERVE_TABLE_GRID.get() == (32, 8)
+        from repro.cli import _grid_shape, build_parser
+        from repro.errors import ServeError
+        from repro.serve import BidService, DecisionCache, default_grid
 
-    def test_values_parse_and_strip(self, monkeypatch):
-        from repro.constants import DIST_CACHE_SIZE, SERVE_TABLE_GRID
+        args = build_parser().parse_args(["serve", "trace.csv"])
+        assert args.port == 7787
+        assert args.stale_slots == SLOTS_PER_DAY
+        assert inspect.signature(DecisionCache).parameters["capacity"].default == 4096
+        stale = inspect.signature(BidService).parameters["stale_after"]
+        assert stale.default == SLOTS_PER_DAY
 
-        monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", "  16X4 ")
-        assert SERVE_TABLE_GRID.get() == (16, 4)
-        monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", "7")
-        assert DIST_CACHE_SIZE.get() == 7
-
-    def test_invalid_values_raise_envvarerror(self, monkeypatch):
-        from repro.constants import (
-            DIST_CACHE_SIZE,
-            SERVE_TABLE_GRID,
-            EnvVarError,
-        )
-        from repro.errors import ReproError
-
-        monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", "bogus")
-        with pytest.raises(EnvVarError, match="REPRO_SERVE_TABLE_GRID"):
-            SERVE_TABLE_GRID.get()
-        for raw in ("0", "-3", "many"):
-            monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", raw)
-            with pytest.raises(EnvVarError, match="REPRO_DIST_CACHE_SIZE"):
-                DIST_CACHE_SIZE.get()
-        # EnvVarError keeps both legacy contracts alive.
-        assert issubclass(EnvVarError, ReproError)
-        assert issubclass(EnvVarError, ValueError)
-
-    def test_registry_lookup(self):
-        from repro.constants import ENV_VARS, EnvVarError, env_var
-
-        assert set(ENV_VARS) == {
-            "REPRO_DIST_CACHE_SIZE",
-            "REPRO_SERVE_PORT",
-            "REPRO_SERVE_TABLE_GRID",
-            "REPRO_SERVE_CACHE_SIZE",
-            "REPRO_SERVE_STALE_SLOTS",
-            "REPRO_SCHED_STRAGGLER_FACTOR",
-            "REPRO_SCHED_STRAGGLER_MIN_SECONDS",
-            "REPRO_SCHED_HEARTBEAT_SECONDS",
-            "REPRO_SCHED_MAX_SHARD_FAILURES",
-            "REPRO_PORTFOLIO_GRID",
-            "REPRO_CVAR_WINDOWS",
-            "REPRO_CHECK_CACHE",
-        }
-        assert env_var("REPRO_SERVE_PORT") is ENV_VARS["REPRO_SERVE_PORT"]
-        with pytest.raises(EnvVarError, match="not a registered"):
-            env_var("REPRO_NOPE")
-
-    def test_every_registered_var_has_description(self):
-        from repro.constants import ENV_VARS
-
-        for var in ENV_VARS.values():
-            assert var.description
-            assert var.name.startswith("REPRO_")
-
-    def test_serve_vars_parse_and_validate(self, monkeypatch):
-        from repro.constants import (
-            SERVE_CACHE_SIZE,
-            SERVE_PORT,
-            SERVE_STALE_SLOTS,
-            SERVE_TABLE_GRID,
-            SLOTS_PER_DAY,
-            EnvVarError,
-        )
-
-        for name in (
-            "REPRO_SERVE_PORT",
-            "REPRO_SERVE_TABLE_GRID",
-            "REPRO_SERVE_CACHE_SIZE",
-            "REPRO_SERVE_STALE_SLOTS",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert SERVE_PORT.get() == 7787
-        assert SERVE_TABLE_GRID.get() == (32, 8)
-        assert SERVE_CACHE_SIZE.get() == 4096
-        assert SERVE_STALE_SLOTS.get() == SLOTS_PER_DAY
-
-        monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", "16x4")
-        assert SERVE_TABLE_GRID.get() == (16, 4)
+        assert _grid_shape("16x4") == (16, 4)
         for raw in ("16", "1x4", "16x0", "axb"):
-            monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", raw)
-            with pytest.raises(EnvVarError, match="REPRO_SERVE_TABLE_GRID"):
-                SERVE_TABLE_GRID.get()
-        for raw in ("-1", "65536", "port"):
-            monkeypatch.setenv("REPRO_SERVE_PORT", raw)
-            with pytest.raises(EnvVarError, match="REPRO_SERVE_PORT"):
-                SERVE_PORT.get()
-        monkeypatch.setenv("REPRO_SERVE_STALE_SLOTS", "0")
-        with pytest.raises(EnvVarError, match="REPRO_SERVE_STALE_SLOTS"):
-            SERVE_STALE_SLOTS.get()
+            with pytest.raises(argparse.ArgumentTypeError):
+                _grid_shape(raw)
+        for shape in ((1, 4), (16, 0)):
+            with pytest.raises(ServeError, match="grid shape"):
+                default_grid(shape=shape)
+        with pytest.raises(ServeError, match="capacity"):
+            DecisionCache(capacity=0)
+        with pytest.raises(ServeError, match="stale_after"):
+            BidService(object(), stale_after=0)
 
-    def test_sched_vars_parse_and_validate(self, monkeypatch):
-        from repro.constants import (
-            SCHED_HEARTBEAT_SECONDS,
-            SCHED_MAX_SHARD_FAILURES,
-            SCHED_STRAGGLER_FACTOR,
-            SCHED_STRAGGLER_MIN_SECONDS,
-            EnvVarError,
-        )
+    def test_sched_vars_parse_and_validate(self):
+        from repro.errors import SweepExecutionError
+        from repro.scheduler import run_shards
 
-        for var in (
-            SCHED_STRAGGLER_FACTOR,
-            SCHED_STRAGGLER_MIN_SECONDS,
-            SCHED_HEARTBEAT_SECONDS,
-            SCHED_MAX_SHARD_FAILURES,
-        ):
-            monkeypatch.delenv(var.name, raising=False)
-        assert SCHED_STRAGGLER_FACTOR.get() == 3.0
-        assert SCHED_STRAGGLER_MIN_SECONDS.get() == 1.0
-        assert SCHED_HEARTBEAT_SECONDS.get() == 0.5
-        assert SCHED_MAX_SHARD_FAILURES.get() == 3
+        params = inspect.signature(run_shards).parameters
+        assert params["straggler_factor"].default == 3.0
+        assert params["straggler_min_seconds"].default == 1.0
+        assert params["max_shard_failures"].default == 3
+        assert "heartbeat_seconds" not in params
 
-        monkeypatch.setenv("REPRO_SCHED_STRAGGLER_FACTOR", "2.5")
-        assert SCHED_STRAGGLER_FACTOR.get() == 2.5
-        for raw in ("0", "-1.0", "nan", "fast"):
-            monkeypatch.setenv("REPRO_SCHED_STRAGGLER_FACTOR", raw)
-            with pytest.raises(EnvVarError, match="REPRO_SCHED_STRAGGLER_FACTOR"):
-                SCHED_STRAGGLER_FACTOR.get()
-        for raw in ("0", "-3", "two"):
-            monkeypatch.setenv("REPRO_SCHED_MAX_SHARD_FAILURES", raw)
-            with pytest.raises(
-                EnvVarError, match="REPRO_SCHED_MAX_SHARD_FAILURES"
-            ):
-                SCHED_MAX_SHARD_FAILURES.get()
+        for bad in (0, -3):
+            with pytest.raises(SweepExecutionError, match="max_shard_failures"):
+                run_shards(abs, [1], executor="thread", max_shard_failures=bad)
 
-    def test_check_cache_flag_parses(self, monkeypatch):
-        from repro.constants import CHECK_CACHE, EnvVarError
+    def test_check_cache_flag_parses(self):
+        from repro.cli import build_parser
 
-        monkeypatch.delenv("REPRO_CHECK_CACHE", raising=False)
-        assert CHECK_CACHE.get() is True  # cache on by default
+        parser = build_parser()
+        assert parser.parse_args(["check"]).no_cache is False  # cache on by default
+        assert parser.parse_args(["check", "--no-cache"]).no_cache is True
 
-        for raw, expected in (
-            ("1", True),
-            ("true", True),
-            ("ON", True),
-            ("yes", True),
-            ("0", False),
-            ("false", False),
-            ("OFF", False),
-            ("no", False),
-        ):
-            monkeypatch.setenv("REPRO_CHECK_CACHE", raw)
-            assert CHECK_CACHE.get() is expected
 
-        for raw in ("2", "maybe", "enabled"):
-            monkeypatch.setenv("REPRO_CHECK_CACHE", raw)
-            with pytest.raises(EnvVarError, match="REPRO_CHECK_CACHE"):
-                CHECK_CACHE.get()
+#: The environment variables the package read before every setting
+#: became a parameter or flag.
+_FORMER_ENV_VARS = (
+    "REPRO_DIST_CACHE_SIZE",
+    "REPRO_SERVE_PORT",
+    "REPRO_SERVE_TABLE_GRID",
+    "REPRO_SERVE_CACHE_SIZE",
+    "REPRO_SERVE_STALE_SLOTS",
+    "REPRO_SCHED_STRAGGLER_FACTOR",
+    "REPRO_SCHED_STRAGGLER_MIN_SECONDS",
+    "REPRO_SCHED_HEARTBEAT_SECONDS",
+    "REPRO_SCHED_MAX_SHARD_FAILURES",
+    "REPRO_PORTFOLIO_GRID",
+    "REPRO_CVAR_WINDOWS",
+    "REPRO_CHECK_CACHE",
+)
+
+#: Makes each formerly env-backed call with its default and with the
+#: documented default passed explicitly, and insists they agree.
+_INERT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import repro
+from repro.checks.cache import CACHE_DIR_NAME
+from repro.checks.cli import main as check_main
+from repro.cli import build_parser
+from repro.constants import SLOTS_PER_DAY, seconds
+from repro.core.distcache import cached_distribution
+from repro.core.types import JobSpec
+from repro.extensions.portfolio import cvar_bid, portfolio_frontier
+from repro.market.price_sources import TracePriceSource
+from repro.scheduler import run_shards
+from repro.serve import BidService, DecisionCache, MarketState, default_grid
+from repro.serve.tables import TableGrid
+from repro.traces.history import SpotPriceHistory
+
+root = Path(sys.argv[1])
+rng = np.random.default_rng(7)
+prices = np.full(600, 0.0315)
+spikes = rng.integers(0, prices.size, size=60)
+prices[spikes] = rng.uniform(0.05, 0.4, size=spikes.size)
+history = SpotPriceHistory(prices=prices, instance_type="r3.xlarge")
+job = JobSpec(execution_time=1.0, recovery_time=seconds(30))
+
+assert default_grid() == default_grid(shape=(32, 8))
+assert vars(DecisionCache()) == vars(DecisionCache(capacity=4096))
+state = MarketState(
+    TracePriceSource(history),
+    initial_history=history,
+    ondemand_price=0.35,
+    grid=TableGrid(execution_times=(0.5, 1.0), recovery_times=(0.0,)),
+)
+cache = DecisionCache()
+assert vars(BidService(state, cache=cache)) == vars(
+    BidService(state, cache=cache, stale_after=SLOTS_PER_DAY)
+)
+assert build_parser().parse_args(["serve", "trace.csv"]).port == 7787
+
+payloads = [-1, -2, 3, -4, 5]
+implicit = run_shards(abs, payloads, executor="process", max_workers=2)
+explicit = run_shards(
+    abs,
+    payloads,
+    executor="process",
+    max_workers=2,
+    max_shard_failures=3,
+    straggler_factor=3.0,
+    straggler_min_seconds=1.0,
+)
+assert implicit.results == explicit.results == [1, 2, 3, 4, 5]
+assert implicit.failures == explicit.failures == ()
+
+dist = cached_distribution(history)
+implicit = portfolio_frontier(dist, job, ondemand_price=0.35)
+explicit = portfolio_frontier(
+    dist, job, ondemand_price=0.35, ondemand_fractions=np.linspace(0.0, 1.0, 33)
+)
+assert implicit.keys() == explicit.keys()
+for key in implicit:
+    np.testing.assert_array_equal(implicit[key], explicit[key])
+assert cvar_bid(history, job, ondemand_price=0.35) == cvar_bid(
+    history, job, ondemand_price=0.35, n_windows=16
+)
+
+assert check_main(["--root", str(root), str(root / "src")]) == 0
+assert (root / CACHE_DIR_NAME).is_dir()
+print("ok")
+"""
+
+
+def test_former_env_vars_are_inert(tmp_path):
+    (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("X = 1\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.update({name: "bogus" for name in _FORMER_ENV_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _INERT, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

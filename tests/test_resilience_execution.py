@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.errors import SweepExecutionError
-from repro.resilience.execution import JournalWarning, SweepJournal
+from repro.scheduler.journal import JournalWarning, SweepJournal
 
 
 class TestSweepJournal:

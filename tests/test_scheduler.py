@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.types import JobSpec, Strategy
 from repro.errors import SweepExecutionError
-from repro.resilience.execution import SweepJournal
+from repro.scheduler.journal import SweepJournal
 from repro.resilience.faults import BENIGN_WORKER_PLAN, WorkerFaultPlan, WorkerFaults
 from repro.scheduler import run_shards
 from repro.sweep import run_sweep

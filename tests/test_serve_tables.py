@@ -67,10 +67,10 @@ class TestTableGrid:
 
 
 class TestDefaultGrid:
-    def test_shape_comes_from_the_env_registry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_TABLE_GRID", "8x3")
-        grid = default_grid()
-        assert grid.shape == (8, 3)
+    def test_shape_comes_from_the_env_registry(self):
+        from repro.serve.tables import DEFAULT_GRID_SHAPE
+
+        assert default_grid().shape == DEFAULT_GRID_SHAPE == (32, 8)
 
     def test_explicit_shape_wins(self):
         grid = default_grid(shape=(5, 2), max_execution=10.0)

@@ -346,7 +346,7 @@ class TestDistributionCache:
         from repro.core import distcache as cache_mod
 
         clear_distribution_cache()
-        monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", "2")
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 2)
         first = cached_distribution(np.full(30, 0.01))
         cached_distribution(np.full(30, 0.02))
         cached_distribution(np.full(30, 0.03))  # evicts the first entry
@@ -355,18 +355,3 @@ class TestDistributionCache:
         assert refetched is not first  # rebuilt after eviction
         clear_distribution_cache()
 
-    def test_cache_size_env_var_read_lazily(self, monkeypatch):
-        from repro.core.distcache import _max_entries
-
-        monkeypatch.delenv("REPRO_DIST_CACHE_SIZE", raising=False)
-        assert _max_entries() == 64
-        monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", "7")
-        assert _max_entries() == 7
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-3", "1.5"])
-    def test_cache_size_env_var_validated(self, monkeypatch, bad):
-        from repro.core.distcache import _max_entries
-
-        monkeypatch.setenv("REPRO_DIST_CACHE_SIZE", bad)
-        with pytest.raises(ValueError, match="REPRO_DIST_CACHE_SIZE"):
-            _max_entries()

@@ -213,8 +213,6 @@ class TestEdgeCases:
                 prices, bids, work=1.5, recovery_time=0.1, slot_length=1.0
             ),
         )
-        # The chunk runner reports worker-local cache deltas.
-        assert {"cache_hits", "cache_misses"} <= set(result)
 
     def test_slots_simulated_counts_lane_events(self):
         # Two bids with the same acceptance count collapse to one lane:

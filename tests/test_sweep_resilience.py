@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.types import JobSpec, Strategy
 from repro.errors import SweepExecutionError
-from repro.resilience.execution import SweepJournal
+from repro.scheduler.journal import SweepJournal
 from repro.resilience.faults import FaultInjector, PriceSpike, SlotDropout
 from repro.sweep import engine, run_sweep
 

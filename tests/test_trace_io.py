@@ -105,7 +105,9 @@ class TestRowIndexInErrors:
 
 class TestRepair:
     def test_repair_sorts_and_clips_with_warning(self):
-        text = _csv(["0,0.0,0.3", "1,1.0,-0.1", "2,0.5,0.2"])
+        text = "# slot_length_hours=0.5\n" + _csv(
+            ["0,0.0,0.3", "1,1.0,-0.1", "2,0.5,0.2"]
+        )
         with pytest.warns(UserWarning, match="1 out-of-order.*1 negative"):
             parsed = loads_csv(text, repair=True)
         np.testing.assert_allclose(parsed.prices, [0.3, 0.2, 0.0])
@@ -124,9 +126,53 @@ class TestRepair:
 
     def test_read_csv_forwards_repair(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(_csv(["0,0.0,0.3", "1,1.0,-0.1", "2,0.5,0.2"]))
+        path.write_text(
+            "# slot_length_hours=0.5\n"
+            + _csv(["0,0.0,0.3", "1,1.0,-0.1", "2,0.5,0.2"])
+        )
         with pytest.raises(TraceError):
             read_csv(path)
         with pytest.warns(UserWarning):
             parsed = read_csv(path, repair=True)
         assert parsed.n_slots == 3
+
+
+class TestSlotGaps:
+    """Rows must cover consecutive slots from ``start_hour``."""
+
+    @staticmethod
+    def _without_row(history, row):
+        lines = dumps_csv(history).splitlines()
+        header = lines.index("slot,time_hours,price")
+        del lines[header + 1 + row]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_deleted_middle_row_names_the_row(self, history, repair):
+        text = self._without_row(history, 1)
+        with pytest.raises(TraceError, match="data row 1 .*consecutive slots"):
+            loads_csv(text, repair=repair)
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_deleted_first_row_names_the_row(self, history, repair):
+        text = self._without_row(history, 0)
+        with pytest.raises(TraceError, match="data row 0 .*start_hour"):
+            loads_csv(text, repair=repair)
+
+    def test_nan_timestamp_names_the_row(self):
+        text = _csv(["0,0.0,0.1", "1,nan,0.1", "2,0.166667,0.1"])
+        with pytest.raises(TraceError, match="data row 1 "):
+            loads_csv(text)
+
+    def test_sixty_day_roundtrip_is_bit_identical(self):
+        rng = np.random.default_rng(11)
+        history = SpotPriceHistory(
+            prices=np.round(rng.uniform(0.02, 0.5, size=17_280), 4),
+            slot_length=1.0 / 12.0,
+            start_hour=5.0,
+        )
+        parsed = loads_csv(dumps_csv(history))
+        assert parsed.n_slots == 17_280
+        assert parsed.prices.tobytes() == history.prices.tobytes()
+        assert parsed.slot_length == history.slot_length
+        assert parsed.start_hour == history.start_hour
