@@ -74,6 +74,7 @@ from .errors import (
     MarketError,
     PlanError,
     ReproError,
+    SpecError,
     SweepExecutionError,
     TraceError,
 )
@@ -147,6 +148,7 @@ __all__ = [
     "MarketError",
     "PlanError",
     "ReproError",
+    "SpecError",
     "SweepExecutionError",
     "TraceError",
     "OutcomeStats",

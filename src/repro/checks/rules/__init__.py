@@ -42,7 +42,7 @@ __all__ = ["RULES", "RULE_PACK_VERSION", "default_rules"]
 #: Version tag of the rule pack, mixed into the incremental cache key —
 #: bump whenever any rule's semantics change, so stale cached findings
 #: cannot survive a rule upgrade.
-RULE_PACK_VERSION = "2026.10.1"
+RULE_PACK_VERSION = "2026.10.2"
 
 #: Shipped rule classes, in id order.
 RULES: List[Type[Rule]] = [

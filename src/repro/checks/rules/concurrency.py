@@ -19,17 +19,33 @@ designs rest on invariants that are invisible to per-line linting:
   NTP and DST, so a straggler deadline computed from them can fire
   years early or never.  Complements RB101, which bans wall clocks from
   library code wholesale but exempts tests — RB705 follows the *value*
-  through assignments (a small taint analysis over the dataflow layer)
-  and applies everywhere, tests included.
+  through assignments, attributes and ``self.<method>(...)`` arguments
+  (a small taint analysis over the dataflow layer) and applies
+  everywhere, tests included.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..dataflow import iter_scopes, scope_statements, scope_walk, tainted_names
+from ..dataflow import (
+    Scope,
+    iter_scopes,
+    scope_statements,
+    scope_walk,
+    tainted_names,
+)
 from ..engine import FileContext, Reporter, Rule
 from ._common import dotted_name, is_test_path
 
@@ -220,6 +236,16 @@ def _is_wall_clock_call(node: ast.AST) -> bool:
     return name is not None and name in _WALL_CLOCK_CALLS
 
 
+def _carries(
+    expr: ast.AST, is_source: Callable[[ast.AST], bool], tainted: Set[str]
+) -> bool:
+    """Whether ``expr`` reads a source or a tainted name."""
+    return any(
+        is_source(sub) or (isinstance(sub, ast.Name) and sub.id in tainted)
+        for sub in ast.walk(expr)
+    )
+
+
 def _wall_clock_attributes(tree: ast.AST) -> Set[str]:
     """Attribute names assigned a wall-clock value anywhere in the file.
 
@@ -238,11 +264,7 @@ def _wall_clock_attributes(tree: ast.AST) -> Set[str]:
                 targets, value = [stmt.target], stmt.value
             else:
                 continue
-            if not any(
-                _is_wall_clock_call(sub)
-                or (isinstance(sub, ast.Name) and sub.id in tainted)
-                for sub in ast.walk(value)
-            ):
+            if not _carries(value, _is_wall_clock_call, tainted):
                 continue
             for target in targets:
                 while isinstance(target, ast.Subscript):
@@ -250,6 +272,82 @@ def _wall_clock_attributes(tree: ast.AST) -> Set[str]:
                 if isinstance(target, ast.Attribute):
                     attrs.add(target.attr)
     return attrs
+
+
+def _tainted_parameters(
+    scopes: Sequence[Scope], is_source: Callable[[ast.AST], bool]
+) -> Dict[str, Set[str]]:
+    """Method parameters passed a wall-clock value, by method qualname.
+
+    ``now = time.time(); self._check(now)`` taints ``_check``'s matching
+    parameter (by position or keyword), so a deadline the callee
+    compares ``now`` with is still traced back to the wall clock.  Only
+    ``self.<method>(...)`` calls to a method of the caller's own class
+    in the same file are followed, to a fixpoint, so a value handed on
+    down a chain of methods stays tainted.
+    """
+    methods: Dict[str, ast.arguments] = {}
+    for scope in scopes:
+        fn = scope.node
+        if isinstance(fn, ast.Module) or not scope.class_chain:
+            continue
+        qualname = ".".join(scope.class_chain) + "." + fn.name
+        if scope.qualname == qualname:  # a method, not a def inside one
+            methods[qualname] = fn.args
+    params: Dict[str, Set[str]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for scope in scopes:
+            if not scope.class_chain:
+                continue
+            source = _with_parameters(is_source, params.get(scope.qualname))
+            tainted = tainted_names(scope.body, source)
+            for node in scope_walk(scope.body):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "self"
+                ):
+                    continue
+                callee = ".".join(scope.class_chain) + "." + node.func.attr
+                args = methods.get(callee)
+                if args is None:
+                    continue
+                positional = [a.arg for a in args.posonlyargs + args.args][1:]
+                named = set(positional) | {a.arg for a in args.kwonlyargs}
+                hits: Set[str] = set()
+                for name, arg in zip(positional, node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    if _carries(arg, source, tainted):
+                        hits.add(name)
+                for keyword in node.keywords:
+                    if keyword.arg in named and _carries(
+                        keyword.value, source, tainted
+                    ):
+                        hits.add(keyword.arg)
+                known = params.setdefault(callee, set())
+                if not hits <= known:
+                    known |= hits
+                    changed = True
+    return params
+
+
+def _with_parameters(
+    is_source: Callable[[ast.AST], bool], parameters: Optional[Set[str]]
+) -> Callable[[ast.AST], bool]:
+    """``is_source`` plus reads of the given tainted parameter names."""
+    if not parameters:
+        return is_source
+
+    def source(node: ast.AST) -> bool:
+        return is_source(node) or (
+            isinstance(node, ast.Name) and node.id in parameters
+        )
+
+    return source
 
 
 class MonotonicClockRule(Rule):
@@ -273,8 +371,15 @@ class MonotonicClockRule(Rule):
                 isinstance(node, ast.Attribute) and node.attr in clock_attrs
             )
 
-        for scope in iter_scopes(ctx.tree):
-            self._check_scope(scope.body, ctx, report, is_source)
+        scopes = iter_scopes(ctx.tree)
+        params = _tainted_parameters(scopes, is_source)
+        for scope in scopes:
+            self._check_scope(
+                scope.body,
+                ctx,
+                report,
+                _with_parameters(is_source, params.get(scope.qualname)),
+            )
 
     def _check_scope(
         self,
@@ -286,12 +391,7 @@ class MonotonicClockRule(Rule):
         tainted = tainted_names(body, is_source)
 
         def expr_tainted(expr: ast.AST) -> bool:
-            for sub in ast.walk(expr):
-                if is_source(sub):
-                    return True
-                if isinstance(sub, ast.Name) and sub.id in tainted:
-                    return True
-            return False
+            return _carries(expr, is_source, tainted)
 
         reported_lines: Set[int] = set()
 

@@ -13,8 +13,8 @@ every retry round.  Creation sites must therefore be lifetime-scoped:
 The same applies to raw ``shared_memory.SharedMemory(...)`` handles.
 :mod:`repro.sweep.shm` itself is exempt — it implements the lifecycle
 (including the deliberately cached worker-side attach,
-:func:`~repro.sweep.shm.open_stack`, whose cache is bounded and torn
-down by :func:`~repro.sweep.shm.close_stacks`).
+:func:`~repro.sweep.shm.open_stack`, whose cache is torn down by
+:func:`~repro.sweep.shm.close_stacks` when the worker exits).
 """
 
 from __future__ import annotations

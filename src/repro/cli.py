@@ -116,6 +116,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port number, 0 through 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port number within [0, 65535], got {text!r}"
+        )
+    return value
+
+
 def _grid_shape(text: str) -> "tuple[int, int]":
     """argparse type: a bid-table grid shape like ``32x8``."""
     parts = text.lower().split("x")
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("trace", help="bootstrap price-history CSV")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=7787,
+        "--port", type=_port, default=7787,
         help="TCP port (default: %(default)s; 0 = ephemeral)",
     )
     p_serve.add_argument("--ondemand", type=float, default=None)
@@ -452,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="price-history CSV fixing slot length and job grid"
     )
     p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--port", type=int, required=True)
+    p_load.add_argument("--port", type=_port, required=True)
     p_load.add_argument(
         "-n", "--requests", type=_positive_int, default=1000, dest="requests"
     )
@@ -1104,13 +1117,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return asyncio.run(_smoke())
 
     async def _run() -> None:
-        server = await start_server(
-            service,
-            host=args.host,
-            port=args.port,
-            ingest=IngestLoop(state, interval=args.interval),
-            max_ingest_slots=args.max_slots,
-        )
+        try:
+            server = await start_server(
+                service,
+                host=args.host,
+                port=args.port,
+                ingest=IngestLoop(state, interval=args.interval),
+                max_ingest_slots=args.max_slots,
+            )
+        except OSError as exc:  # the bind: address in use, not local, ...
+            raise ReproError(
+                f"cannot serve on {args.host}:{args.port}: {exc}"
+            ) from None
         bound = server.sockets[0].getsockname()[1]
         print(
             f"serving {state.instance_type or 'trace'} on "
@@ -1150,15 +1168,20 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(args.seed),
         on_grid_fraction=on_grid,
     )
-    report = asyncio.run(
-        run_loadgen(
-            args.host,
-            args.port,
-            requests,
-            connections=args.connections,
-            pipeline=args.pipeline,
+    try:
+        report = asyncio.run(
+            run_loadgen(
+                args.host,
+                args.port,
+                requests,
+                connections=args.connections,
+                pipeline=args.pipeline,
+            )
         )
-    )
+    except ConnectionRefusedError:
+        raise ReproError(
+            f"no daemon at {args.host}:{args.port}: connection refused"
+        ) from None
     _print_load_report(report, hist_out=args.hist_out)
     return 1 if report.errors else 0
 

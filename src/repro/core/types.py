@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..constants import DEFAULT_SLOT_HOURS
-from ..errors import PlanError
+from ..errors import PlanError, SpecError
 
 
 class BidKind(enum.Enum):
@@ -73,11 +73,12 @@ def normalize_strategy(strategy: Strategy) -> Strategy:
     """Check that a strategy argument is a :class:`Strategy` member.
 
     Enum members pass through untouched; anything else, strings
-    included, raises :class:`ValueError`.
+    included, raises :class:`~repro.errors.SpecError` (a
+    :class:`ValueError`).
     """
     if isinstance(strategy, Strategy):
         return strategy
-    raise ValueError(
+    raise SpecError(
         f"unknown strategy {strategy!r}; use Strategy.ONE_TIME, "
         "Strategy.PERSISTENT, Strategy.PERCENTILE, Strategy.PORTFOLIO "
         "or Strategy.CVAR"
@@ -106,15 +107,15 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         if not (self.execution_time > 0 and math.isfinite(self.execution_time)):
-            raise ValueError(
+            raise SpecError(
                 f"execution_time must be positive and finite, got {self.execution_time!r}"
             )
         if not (self.recovery_time >= 0 and math.isfinite(self.recovery_time)):
-            raise ValueError(
+            raise SpecError(
                 f"recovery_time must be non-negative and finite, got {self.recovery_time!r}"
             )
         if not (self.slot_length > 0 and math.isfinite(self.slot_length)):
-            raise ValueError(
+            raise SpecError(
                 f"slot_length must be positive and finite, got {self.slot_length!r}"
             )
 
@@ -392,18 +393,18 @@ class DecisionRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", normalize_strategy(self.strategy))
         if not (0.0 <= self.percentile <= 100.0):
-            raise ValueError(
+            raise SpecError(
                 f"percentile must be within [0, 100], got {self.percentile!r}"
             )
         if self.max_variance is not None and not (
             self.max_variance >= 0.0 and math.isfinite(self.max_variance)
         ):
-            raise ValueError(
+            raise SpecError(
                 f"max_variance must be non-negative and finite, "
                 f"got {self.max_variance!r}"
             )
         if not 0.0 < self.cvar_alpha < 1.0:
-            raise ValueError(
+            raise SpecError(
                 f"cvar_alpha must be within (0, 1), got {self.cvar_alpha!r}"
             )
 

@@ -18,6 +18,14 @@ class SupportError(DistributionError):
     """A query fell outside the support of a distribution."""
 
 
+class SpecError(ReproError, ValueError):
+    """A job spec or decision request field is out of range.
+
+    Also a :class:`ValueError`, which these field checks raised before
+    they had a type of their own, so callers catching that keep working.
+    """
+
+
 class InfeasibleBidError(ReproError):
     """No bid price satisfies the optimization problem's constraints.
 

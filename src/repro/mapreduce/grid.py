@@ -7,43 +7,24 @@ start slot) triple — in one kernel call, returning a
 :class:`MapReduceGridResult` whose per-cell fields are bitwise
 identical to the scalar runner's.
 
-``kernel="event"`` (the default) runs the event-driven kernel;
-``kernel="scalar"`` runs the scalar runner lane by lane — the oracle the
-kernel is verified against, by the equivalence tests and by
-``repro-bid bench``.
-
-Process fan-out ships the stacked master/slave price matrices zero-copy
-through two :class:`~repro.sweep.shm.SharedPriceStack` segments; the
-per-chunk payload is just the two descriptors plus the chunk's small
-lane arrays.
+``kernel="event"`` (the default) runs the event-driven kernel in one
+in-process call; ``kernel="scalar"`` runs the scalar runner lane by
+lane — the oracle the kernel is verified against, by the equivalence
+tests and by ``repro-bid bench``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.types import MapReducePlan
-from ..errors import MarketError, PlanError, SweepExecutionError
+from ..errors import MarketError, PlanError
 from ..traces.history import SpotPriceHistory
 from .kernels import TERMINATION_CODES, mapreduce_grid_kernel_event
 from .runner import MapReduceRunResult, TerminationReason, run_plan_on_traces
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.faults import WorkerFaults
-    from ..scheduler.journal import SweepJournal
 
 __all__ = ["MapReduceGridResult", "run_plan_grid"]
 
@@ -139,11 +120,12 @@ def _as_sequence(value: Any, n_runs: int, what: str) -> List:
 
 def _stack_traces(
     traces: Sequence[SpotPriceHistory],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack unique trace objects into a +inf-padded matrix.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stack unique trace objects into a +inf-padded ``(matrix, index)``.
 
     Runs frequently share trace objects (multi-start evaluation reuses
-    one future per start slot), so rows are deduplicated by identity.
+    one future per start slot), so rows are deduplicated by identity;
+    ``index[j]`` is run ``j``'s row.
     """
     row_of: Dict[int, int] = {}
     unique: List[SpotPriceHistory] = []
@@ -156,37 +138,9 @@ def _stack_traces(
         index[j] = row_of[key]
     width = max(t.n_slots for t in unique)
     matrix = np.full((len(unique), width), np.inf)
-    n_valid = np.empty(len(unique), dtype=np.int64)
     for row, trace in enumerate(unique):
         matrix[row, : trace.n_slots] = trace.prices
-        n_valid[row] = trace.n_slots
-    return matrix, n_valid, index
-
-
-def _grid_worker(payload: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Process-pool entry: attach the shared stacks, run one lane chunk."""
-    from ..sweep.shm import open_stack
-
-    m_desc, s_desc, lanes, slot_length, cap = payload
-    m_prices, _ = open_stack(m_desc)
-    s_prices, _ = open_stack(s_desc)
-    return mapreduce_grid_kernel_event(
-        m_prices,
-        s_prices,
-        slot_length=slot_length,
-        max_master_restarts=cap,
-        **lanes,
-    )
-
-
-def _merge_chunks(chunks: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    merged = {
-        key: np.concatenate([c[key] for c in chunks])
-        for key in chunks[0]
-        if key != "slots_simulated"
-    }
-    merged["slots_simulated"] = sum(int(c["slots_simulated"]) for c in chunks)
-    return merged
+    return matrix, index
 
 
 def run_plan_grid(
@@ -198,9 +152,6 @@ def run_plan_grid(
     max_slots: Optional[int] = None,
     max_master_restarts: int = 50,
     kernel: str = "event",
-    max_workers: Optional[int] = None,
-    journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
-    worker_faults: "Optional[WorkerFaults]" = None,
 ) -> MapReduceGridResult:
     """Evaluate every (plan, run) pair of a MapReduce grid in one batch.
 
@@ -211,30 +162,14 @@ def run_plan_grid(
     with the same ``max_slots`` / ``max_master_restarts``.
 
     ``kernel`` picks "event" (the batched kernel, the default) or
-    "scalar" (the oracle, lane by lane).  Every lane rejects the same
-    bad arguments before any work: ``max_workers < 1`` with
-    :class:`~repro.errors.SweepExecutionError`, as :func:`run_sweep`
-    does; ``max_slots < 1``, a negative start slot or
-    ``max_master_restarts < 0`` with :class:`~repro.errors.PlanError`.
-
-    On the event lane with ``max_workers > 1``, a ``journal`` or
-    ``worker_faults``, lane chunks fan out through the work-stealing
-    scheduler (:func:`repro.scheduler.run_shards`) — dynamic dispatch,
-    straggler speculation, crash respawn — and the two price stacks
-    travel zero-copy via shared memory.  ``journal`` (a path or
-    :class:`~repro.scheduler.journal.SweepJournal`) makes the fan-out
-    crash-consistent: finished chunks are fsync'd to disk and a re-run
-    with the same grid resumes, recomputing only unfinished chunks.
-    ``worker_faults`` injects seeded process-level chaos into the pool
-    (results stay bitwise identical to the fault-free run).
+    "scalar" (the oracle, lane by lane).  Both lanes reject the same
+    bad arguments with :class:`~repro.errors.PlanError` before any
+    work: ``max_slots < 1``, a negative start slot or
+    ``max_master_restarts < 0``.
     """
     if kernel not in ("event", "scalar"):
         raise MarketError(
             f"unknown MapReduce kernel {kernel!r}; choose 'event' or 'scalar'"
-        )
-    if max_workers is not None and max_workers < 1:
-        raise SweepExecutionError(
-            f"max_workers must be >= 1, got {max_workers!r}"
         )
     if max_slots is not None and max_slots < 1:
         raise PlanError(f"max_slots must be >= 1, got {max_slots!r}")
@@ -292,8 +227,8 @@ def run_plan_grid(
             plan_list, m_list, s_list, starts, max_slots, max_master_restarts
         )
 
-    m_matrix, m_valid, m_index = _stack_traces(m_list)
-    s_matrix, s_valid, s_index = _stack_traces(s_list)
+    m_matrix, m_index = _stack_traces(m_list)
+    s_matrix, s_index = _stack_traces(s_list)
     lanes = {
         "lane_mrow": np.tile(m_index, n_plans),
         "lane_srow": np.tile(s_index, n_plans),
@@ -316,30 +251,13 @@ def run_plan_grid(
             [p.job.recovery_time for p in plan_list], n_runs
         ),
     }
-    n_lanes = n_plans * n_runs
-
-    # Process fan-out is explicit opt-in: the caller asked for it, so
-    # honour it even on small grids (tests exercise tiny fan-outs).
-    fan_out = (
-        (max_workers is not None and max_workers > 1)
-        or worker_faults is not None
-        or journal is not None
+    raw = mapreduce_grid_kernel_event(
+        m_matrix,
+        s_matrix,
+        slot_length=slot_length,
+        max_master_restarts=max_master_restarts,
+        **lanes,
     )
-    if fan_out:
-        raw = _run_fanout(
-            m_matrix, m_valid, s_matrix, s_valid, lanes,
-            slot_length, max_master_restarts,
-            max_workers if max_workers is not None else 1,
-            journal, worker_faults,
-        )
-    else:
-        raw = mapreduce_grid_kernel_event(
-            m_matrix,
-            s_matrix,
-            slot_length=slot_length,
-            max_master_restarts=max_master_restarts,
-            **lanes,
-        )
 
     def grid(key: str) -> np.ndarray:
         return raw[key].reshape(n_plans, n_runs)
@@ -410,72 +328,3 @@ def _run_scalar(
         kernel="scalar",
         slots_simulated=slots,
     )
-
-
-def _run_fanout(
-    m_matrix: np.ndarray,
-    m_valid: np.ndarray,
-    s_matrix: np.ndarray,
-    s_valid: np.ndarray,
-    lanes: Dict[str, np.ndarray],
-    slot_length: float,
-    max_master_restarts: int,
-    max_workers: int,
-    journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
-    worker_faults: "Optional[WorkerFaults]" = None,
-) -> Dict[str, Any]:
-    """Chunk lanes over the scheduler pool; stacks travel via shm."""
-    from ..scheduler import run_shards
-    from ..sweep.engine import (
-        _deserialize_kernel_result,
-        _serialize_kernel_result,
-    )
-    from ..sweep.shm import SharedPriceStack
-
-    n_lanes = lanes["lane_mrow"].size
-    # More chunks than workers gives the work-stealing scheduler slack:
-    # a straggling worker holds back one small chunk, not a statically
-    # assigned slice; chunks stay big enough to keep the vectorized
-    # inner loops wide.
-    n_chunks = min(n_lanes, max(2, 4 * max_workers))
-    bounds = np.linspace(0, n_lanes, n_chunks + 1).astype(np.int64)
-    spans = [
-        (int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with SharedPriceStack(m_matrix, m_valid) as m_stack, SharedPriceStack(
-        s_matrix, s_valid
-    ) as s_stack:
-        payloads = [
-            (
-                m_stack.descriptor,
-                s_stack.descriptor,
-                {key: arr[lo:hi] for key, arr in lanes.items()},
-                slot_length,
-                max_master_restarts,
-            )
-            for lo, hi in spans
-        ]
-        sched = run_shards(
-            _grid_worker,
-            payloads,
-            max_workers=max_workers,
-            keys=[f"lanes:{lo}:{hi}" for lo, hi in spans],
-            labels=[f"lanes [{lo}, {hi})" for lo, hi in spans],
-            journal=journal,
-            signature={
-                "kind": "mapreduce.grid",
-                # Kept in the signature existing journals were written
-                # with, so they still resume.
-                "kernel": "event",
-                "n_lanes": int(n_lanes),
-                "n_chunks": len(spans),
-                "slot_length": slot_length,
-                "max_master_restarts": max_master_restarts,
-            },
-            serialize=_serialize_kernel_result,
-            deserialize=_deserialize_kernel_result,
-            worker_faults=worker_faults,
-        )
-    return _merge_chunks(sched.results)

@@ -30,10 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.faults import FaultInjector
+from typing import Optional
 
 from ..core.types import BidKind, MapReduceJobSpec, MapReducePlan
 from ..errors import PlanError
@@ -106,20 +103,8 @@ def run_plan_on_traces(
     start_slot: int = 0,
     max_slots: Optional[int] = None,
     max_master_restarts: int = 50,
-    master_faults: "Optional[FaultInjector]" = None,
-    slave_faults: "Optional[FaultInjector]" = None,
 ) -> MapReduceRunResult:
-    """Execute ``plan`` against held-out master/slave price traces.
-
-    ``master_faults`` / ``slave_faults`` optionally degrade the two
-    markets *independently* (each a
-    :class:`~repro.resilience.faults.FaultInjector`), e.g. a revocation
-    storm on the slave market while the master's feed stays clean.
-    """
-    if master_faults is not None:
-        master_history = master_faults.perturb_history(master_history)
-    if slave_faults is not None:
-        slave_history = slave_faults.perturb_history(slave_history)
+    """Execute ``plan`` against held-out master/slave price traces."""
     slot_length = plan.job.slot_length
     if master_history.slot_length != slot_length or slave_history.slot_length != slot_length:
         raise PlanError(

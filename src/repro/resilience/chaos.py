@@ -443,8 +443,8 @@ def run_mapreduce_chaos(
 
 
 #: Report arrays compared bitwise between the healthy and chaotic runs.
-#: Counters are deliberately excluded — cache hit/miss totals depend on
-#: how shards landed on workers, which chaos perturbs by design.
+#: The counters' ``kernel_seconds`` and the scheduler stats are left out:
+#: they time and count how shards ran, which chaos changes by design.
 _PARITY_FIELDS = (
     "completed",
     "cost",

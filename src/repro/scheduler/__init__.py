@@ -10,8 +10,7 @@ shard timeouts.  The thread lane
 serially or on threads.  Both share poison-shard quarantine, recorded
 as :class:`ItemFailure` rows, and JSON-lines :class:`SweepJournal`
 resume (:mod:`repro.scheduler.journal`).
-:func:`repro.sweep.run_sweep` runs every sweep through here, and
-:func:`repro.mapreduce.run_plan_grid` its process fan-out; seeded
+:func:`repro.sweep.run_sweep` runs every sweep through here; seeded
 process-level chaos for the pool lives in
 :class:`repro.resilience.faults.WorkerFaults`.
 """

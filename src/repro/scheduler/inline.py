@@ -18,7 +18,6 @@ options here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .journal import ItemFailure, SweepJournal
@@ -87,6 +86,8 @@ def run_inline(
         for shard in shards:
             collect(shard, _attempt(fn, shard.payload, max_shard_failures))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = [
                 pool.submit(_attempt, fn, shard.payload, max_shard_failures)

@@ -1,8 +1,7 @@
 """Failure records and resume journals for sharded runs.
 
 :func:`repro.scheduler.run_shards` — the executor under
-:func:`repro.sweep.run_sweep` and the fan-out of
-:func:`repro.mapreduce.run_plan_grid` — records a shard that keeps
+:func:`repro.sweep.run_sweep` — records a shard that keeps
 failing as a structured :class:`ItemFailure` instead of killing the
 whole run, and appends finished shards to a :class:`SweepJournal`
 (JSON lines) so an interrupted run can resume without recomputing

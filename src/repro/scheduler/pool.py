@@ -1,8 +1,7 @@
 """The work-stealing coordinator: dynamic shard dispatch over a pool.
 
 :func:`run_shards` is the package's one fan-out executor:
-:func:`repro.sweep.run_sweep` runs every sweep through it and
-:func:`repro.mapreduce.run_plan_grid` its process fan-out.  With
+:func:`repro.sweep.run_sweep` runs every sweep through it.  With
 ``executor="thread"`` it hands the shards to the in-process lane
 (:mod:`repro.scheduler.inline`); otherwise the coordinator below runs
 them on a worker pool.  Design points, each forced by a failure mode
@@ -43,8 +42,6 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from multiprocessing import get_context
-from multiprocessing.connection import Connection, wait
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -60,12 +57,12 @@ from typing import (
 )
 
 from ..errors import SweepExecutionError
-from .inline import run_inline
 from .journal import ItemFailure, SweepJournal
 from .types import SchedulerResult, SchedulerStats, Shard
-from .worker import worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from multiprocessing.connection import Connection
+
     from ..resilience.faults import WorkerFaults
 
 __all__ = ["run_shards"]
@@ -158,6 +155,8 @@ class _Coordinator:
         serialize: Callable[[Any], Any],
         worker_faults: "Optional[WorkerFaults]",
     ):
+        from multiprocessing import get_context
+
         self.fn = fn
         self.states = {s.index: _ShardState(s) for s in shards}
         self.max_workers = max_workers
@@ -195,6 +194,8 @@ class _Coordinator:
 
     # -- worker lifecycle --------------------------------------------------
     def _spawn(self, slot: int) -> _Worker:
+        from .worker import worker_main
+
         epoch = self.epochs.get(slot, -1) + 1
         self.epochs[slot] = epoch
         plan = (
@@ -442,6 +443,8 @@ class _Coordinator:
 
     # -- main loop ---------------------------------------------------------
     def run(self) -> None:
+        from multiprocessing.connection import wait
+
         n_workers = min(self.max_workers, max(1, self.unresolved))
         for slot in range(n_workers):
             self._spawn(slot)
@@ -598,6 +601,8 @@ def run_shards(
     failed: List[ItemFailure] = []
     stats_raw: Dict[str, int] = {}
     if shards and executor == "thread":
+        from .inline import run_inline
+
         done, failed, stats_raw = run_inline(
             fn,
             shards,

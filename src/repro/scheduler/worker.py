@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import os
 import time
-from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from multiprocessing.connection import Connection
+
     from ..resilience.faults import WorkerFaultPlan
 
 __all__ = ["worker_main"]

@@ -34,7 +34,7 @@ from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, open_stack
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.faults import FaultInjector, WorkerFaults
+    from ..resilience.faults import WorkerFaults
     from ..scheduler.journal import SweepJournal
 
 __all__ = ["run_sweep"]
@@ -222,7 +222,6 @@ def run_sweep(
     pair_bids: bool = False,
     max_workers: Optional[int] = None,
     executor: str = "thread",
-    faults: "Optional[FaultInjector]" = None,
     retries: int = 0,
     item_timeout: Optional[float] = None,
     strict: bool = True,
@@ -260,10 +259,6 @@ def run_sweep(
         dispatch, straggler speculation, crash respawn and poison-shard
         quarantine.  Results are bitwise identical to a serial run
         either way.
-    faults:
-        Optional :class:`~repro.resilience.faults.FaultInjector`; trace
-        ``i`` is perturbed with ``faults.derive(i)`` before simulation,
-        so fault-injected sweeps stay reproducible per root seed.
     retries / item_timeout / strict / journal:
         Resilient execution (any non-default value activates it): each
         trace becomes its own shard, re-run at once up to ``retries``
@@ -297,15 +292,7 @@ def run_sweep(
     if executor not in ("thread", "process"):
         raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
     _slot_length_of(traces, job)
-    trace_list = _as_trace_list(traces)
-    if faults is not None:
-        trace_list = [
-            faults.derive(i).perturb_history(trace)
-            if hasattr(trace, "prices")
-            else faults.derive(i).perturb_prices(np.asarray(trace, dtype=float))
-            for i, trace in enumerate(trace_list)
-        ]
-    matrix, n_valid = _stack_traces(trace_list, start_slots)
+    matrix, n_valid = _stack_traces(_as_trace_list(traces), start_slots)
     n_traces = matrix.shape[0]
 
     bid_values = np.atleast_1d(np.asarray(bids, dtype=float))

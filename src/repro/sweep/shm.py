@@ -15,27 +15,25 @@ at offset 0, immediately followed by the ``(n_traces,)`` int64
 The parent owns the segment's lifetime (create → sweep → ``close`` +
 ``unlink``); workers attach lazily and cache the mapping per segment
 name, so a pool reused across chunks and retry rounds maps each segment
-once.
+once.  A pool's workers live for one
+:func:`~repro.scheduler.run_shards` call, which ships one stack, and
+detach it with :func:`close_stacks` on exit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from multiprocessing import shared_memory
+
 __all__ = ["SharedPriceStack", "StackDescriptor", "open_stack", "close_stacks"]
 
-#: Attached segments cached per worker process.  Bounded so a long-lived
-#: worker serving many sweeps does not accumulate stale mappings.  Sized
-#: for several concurrent fan-outs of *paired* stacks — the MapReduce
-#: grid ships a master and a slave segment per sweep.
-_MAX_ATTACHED = 8
-
-_attached: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
+#: Attached segments of this process, by segment name.
+_attached: "Dict[str, shared_memory.SharedMemory]" = {}
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,8 @@ class SharedPriceStack:
     """
 
     def __init__(self, matrix: np.ndarray, n_valid: np.ndarray) -> None:
+        from multiprocessing import shared_memory
+
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         n_valid = np.ascontiguousarray(n_valid, dtype=np.int64)
         if matrix.ndim != 2 or n_valid.shape != (matrix.shape[0],):
@@ -115,6 +115,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     still use.  Ownership lives with the parent; suppress the
     registration for the duration of the attach.
     """
+    from multiprocessing import shared_memory
+
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover - Python < 3.13
@@ -158,11 +160,6 @@ def open_stack(descriptor: StackDescriptor) -> Tuple[np.ndarray, np.ndarray]:
                 f"must be re-dispatched under a fresh segment"
             ) from None
         _attached[descriptor.name] = segment
-        while len(_attached) > _MAX_ATTACHED:
-            _, stale = _attached.popitem(last=False)
-            stale.close()
-    else:
-        _attached.move_to_end(descriptor.name)
     prices, n_valid = _views(segment.buf, descriptor)
     prices.flags.writeable = False
     n_valid.flags.writeable = False
@@ -172,5 +169,5 @@ def open_stack(descriptor: StackDescriptor) -> Tuple[np.ndarray, np.ndarray]:
 def close_stacks() -> None:
     """Detach every cached segment (test hygiene / worker shutdown)."""
     while _attached:
-        _, segment = _attached.popitem(last=False)
+        _, segment = _attached.popitem()
         segment.close()

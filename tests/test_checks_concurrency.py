@@ -276,6 +276,33 @@ class TestMonotonicClockRB705:
         assert rule_ids(result) == ["RB705"]
         assert result.findings[0].line == 8
 
+    def test_wall_clock_argument_to_another_method_flagged(self, tmp_path):
+        # The stamp reaches the deadline comparison as a parameter of
+        # another method, by position in one call and by keyword in the
+        # other; the callee's parameter carries the taint.
+        source = """\
+            import time
+
+            class Coordinator:
+                def run(self):
+                    now = time.time()
+                    self._check_timeouts(now)
+                    self._check_stragglers(now=now)
+
+                def _check_timeouts(self, now):
+                    return now - self.started > self.timeout
+
+                def _check_stragglers(self, now):
+                    return now > self.deadline
+        """
+        result = check(tmp_path, {"src/m.py": source}, MonotonicClockRule)
+        assert rule_ids(result) == ["RB705", "RB705"]
+        assert [f.line for f in result.findings] == [10, 13]
+
+        clean = source.replace("time.time()", "time.monotonic()")
+        result = check(tmp_path, {"src/m.py": clean}, MonotonicClockRule)
+        assert result.findings == ()
+
     def test_monotonic_deadlines_are_clean(self, tmp_path):
         source = """\
             import time

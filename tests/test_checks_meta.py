@@ -282,3 +282,28 @@ class TestRB7xxGuardRealModules:
         result = self.run_rule(tmp_path, MonotonicClockRule())
         assert result.findings
         assert {f.rule_id for f in result.findings} == {"RB705"}
+
+    def test_rb705_wall_clock_now_passed_to_pool_checks_fails(self, tmp_path):
+        # Only the coordinator loop's clock read changes; ``now`` reaches
+        # the three deadline comparisons as a method parameter.
+        from repro.checks.rules.concurrency import MonotonicClockRule
+
+        rel = "src/repro/scheduler/pool.py"
+        read = "                now = time.monotonic()\n"
+        source = (REPO_ROOT / rel).read_text()
+        assert source.count(read) == 1
+        mutated = source.replace(read, read.replace("monotonic", "time"))
+        self.copy_module(tmp_path, rel, mutate=lambda s: mutated)
+        lines = mutated.splitlines()
+        comparisons = [
+            "if now - started > deadline:",
+            "if started is None or now - started <= self.shard_timeout:",
+            "if now - state.done_at > deadline:",
+        ]
+        expected = sorted(
+            next(i for i, line in enumerate(lines, 1) if text in line)
+            for text in comparisons
+        )
+        result = self.run_rule(tmp_path, MonotonicClockRule())
+        assert [f.rule_id for f in result.findings] == ["RB705"] * 3
+        assert sorted(f.line for f in result.findings) == expected

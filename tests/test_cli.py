@@ -179,6 +179,114 @@ class TestNumericValidation:
         assert "-2" in capsys.readouterr().err
 
 
+class TestDecisionFlagValidation:
+    """Out-of-range decision flags fail with one `error:` line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["bid", "{h}", "--strategy", "percentile", "--percentile", "150"],
+             "percentile"),
+            (["bid", "{h}", "--strategy", "cvar", "--cvar-alpha", "1.5"],
+             "cvar_alpha"),
+            (["bid", "{h}", "--strategy", "portfolio", "--max-variance", "-1"],
+             "max_variance"),
+            (["sweep", "{h}", "{f}", "--strategy", "portfolio",
+              "--max-variance", "-1"], "max_variance"),
+            (["sweep", "{h}", "{f}", "--strategy", "cvar",
+              "--cvar-alpha", "1.5"], "cvar_alpha"),
+        ],
+        ids=[
+            "bid-percentile", "bid-cvar-alpha", "bid-max-variance",
+            "sweep-max-variance", "sweep-cvar-alpha",
+        ],
+    )
+    def test_rejected_with_an_error_line(
+        self, trace_file, future_file, argv, field, capsys
+    ):
+        argv = [a.format(h=trace_file, f=future_file) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+
+class TestPortAndSocketErrors:
+    """Port flags take 0-65535; socket failures print one `error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "t.csv", "--port", "70000"],
+            ["serve", "t.csv", "--port", "-1"],
+            ["loadgen", "t.csv", "--port", "-1", "-n", "1"],
+            ["loadgen", "t.csv", "--port", "65536", "-n", "1"],
+            ["loadgen", "t.csv", "--port", "http", "-n", "1"],
+        ],
+        ids=["serve-70000", "serve-neg", "loadgen-neg", "loadgen-65536",
+             "loadgen-text"],
+    )
+    def test_out_of_range_port_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--port" in err and "Traceback" not in err
+
+    def test_port_zero_stays_the_ephemeral_port(self):
+        args = build_parser().parse_args(["serve", "t.csv", "--port", "0"])
+        assert args.port == 0
+
+    def test_loadgen_refused_connection(self, trace_file, capsys):
+        import socket
+
+        # Bound but not listening: a connect to it is refused.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+            code = main(["loadgen", str(trace_file), "--port", str(port),
+                         "-n", "1", "--connections", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"127.0.0.1:{port}" in err and "refused" in err
+        assert "Traceback" not in err
+
+    def test_serve_address_in_use(self, trace_file, capsys):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(1)
+            port = sock.getsockname()[1]
+            code = main(["serve", str(trace_file), "--port", str(port),
+                         "--grid", "4x2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"127.0.0.1:{port}" in err and "in use" in err
+        assert "Traceback" not in err
+
+    def test_serve_address_not_local(self, trace_file, capsys):
+        import socket
+
+        # 192.0.2.1 is a documentation address (RFC 5737) that no host
+        # owns, so the bind fails locally without sending anything --
+        # unless the host allows non-local binds, where the daemon
+        # would start and serve forever.
+        with socket.socket() as probe:
+            try:
+                probe.bind(("192.0.2.1", 0))
+            except OSError:
+                pass
+            else:
+                pytest.skip("this host allows binding non-local addresses")
+        code = main(["serve", str(trace_file), "--host", "192.0.2.1",
+                     "--port", "0", "--grid", "4x2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot serve on 192.0.2.1:0")
+        assert "Traceback" not in err
+
+
 class TestChaosCommand:
     def test_end_to_end_on_generated_trace(self, trace_file, capsys):
         assert main(["chaos", str(trace_file), "--hours", "1",

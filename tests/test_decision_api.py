@@ -13,7 +13,7 @@ from repro.core.types import (
     JobSpec,
     Strategy,
 )
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError, SpecError
 from repro.serve.protocol import (
     decode_line,
     encode_line,
@@ -67,6 +67,30 @@ class TestDecisionRequest:
     def test_unknown_strategy_rejected(self, job):
         with pytest.raises(ValueError):
             DecisionRequest(job=job, strategy="yolo")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda job: DecisionRequest(job=job, percentile=150.0),
+            lambda job: DecisionRequest(job=job, cvar_alpha=1.5),
+            lambda job: DecisionRequest(job=job, max_variance=-1.0),
+            lambda job: DecisionRequest(job=job, strategy="yolo"),
+            lambda job: JobSpec(execution_time=0.0),
+            lambda job: JobSpec(execution_time=1.0, recovery_time=-1.0),
+            lambda job: JobSpec(execution_time=1.0, slot_length=float("nan")),
+        ],
+        ids=[
+            "percentile", "cvar-alpha", "max-variance", "strategy",
+            "execution-time", "recovery-time", "slot-length",
+        ],
+    )
+    def test_field_errors_are_repro_and_value_errors(self, job, build):
+        # A ReproError, so the CLI prints it as one `error:` line; still
+        # a ValueError, so callers catching that keep working.
+        with pytest.raises(SpecError) as excinfo:
+            build(job)
+        assert isinstance(excinfo.value, ReproError)
+        assert isinstance(excinfo.value, ValueError)
 
 
 class TestDecisionResponse:

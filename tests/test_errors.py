@@ -18,6 +18,7 @@ from repro import errors
         errors.PlanError,
         errors.FaultError,
         errors.SweepExecutionError,
+        errors.SpecError,
     ],
 )
 def test_all_errors_derive_from_repro_error(exc):

@@ -2,8 +2,10 @@
 
 At module level the package imports only the stdlib, numpy and itself;
 SciPy and networkx are imported inside the functions that call them
-(docs/development.md).  Each check runs in a fresh interpreter, because
-this test process has loaded both packages long before it gets here.
+(docs/development.md), and ``multiprocessing`` inside the functions that
+fork, attach shared memory or start threads.  Each check runs in a fresh
+interpreter, because this test process has loaded all of them long
+before it gets here.
 """
 
 import json
@@ -26,8 +28,11 @@ print(json.dumps(sorted(
 
 #: The numpy-only paths: every entry point's import, a serial sweep, the
 #: serve state's first table build, one decide of each kind the daemon
-#: serves, and a rebuild after ingesting more prices.
+#: serves, and a rebuild after ingesting more prices.  None of them
+#: forks, so none loads ``multiprocessing`` either.
 _NUMPY_ONLY = """
+import sys
+
 import numpy as np
 
 import repro
@@ -67,6 +72,8 @@ for strategy in (
     assert response.degradation_reason is None, response
 state.advance(4)
 state.rebuild()
+forking = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+assert not forking, forking
 """
 
 #: The converse: the two calls that do need each package load it.

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.types import BidDecision, BidKind, MapReduceJobSpec, MapReducePlan
-from repro.errors import MarketError, PlanError, SweepExecutionError
+from repro.errors import MarketError, PlanError
 from repro.mapreduce import (
     TERMINATION_CODES,
     MapReduceGridResult,
@@ -235,26 +235,15 @@ class TestDispatchAndFanout:
     @pytest.mark.parametrize(
         "bad,error,match",
         [
-            ({"max_workers": 0}, SweepExecutionError, "max_workers"),
-            ({"max_workers": -3}, SweepExecutionError, "max_workers"),
             ({"max_slots": 0}, PlanError, "max_slots"),
             ({"max_slots": -5}, PlanError, "max_slots"),
             ({"start_slots": -1}, PlanError, "start_slot"),
             ({"max_master_restarts": -1}, PlanError, "max_master_restarts"),
         ],
-        ids=[
-            "workers-0", "workers-neg", "max-slots-0", "max-slots-neg",
-            "start-neg", "restarts-neg",
-        ],
+        ids=["max-slots-0", "max-slots-neg", "start-neg", "restarts-neg"],
     )
     @pytest.mark.parametrize(
-        "lane",
-        [
-            {"kernel": "event"},
-            {"kernel": "scalar"},
-            {"kernel": "event", "max_workers": 2},
-        ],
-        ids=["event", "scalar", "event-fanout"],
+        "lane", [{"kernel": "event"}, {"kernel": "scalar"}], ids=["event", "scalar"]
     )
     def test_bad_arguments_rejected_alike_on_every_lane(
         self, lane, bad, error, match
@@ -262,24 +251,6 @@ class TestDispatchAndFanout:
         trace = flat_trace(0.1, n_slots=100)
         with pytest.raises(error, match=match):
             run_plan_grid(make_plan(), trace, trace, **{**lane, **bad})
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_process_fanout_bitwise(self, kernel):
-        rng = np.random.default_rng(11)
-        plans = [random_plan(rng) for _ in range(4)]
-        m = [random_trace(rng, 150) for _ in range(3)]
-        s = [random_trace(rng, 150) for _ in range(3)]
-        starts = [0, 20, 100]
-        ref = run_plan_grid(plans, m, s, start_slots=starts, kernel="scalar")
-        fan = run_plan_grid(
-            plans,
-            m,
-            s,
-            start_slots=starts,
-            kernel=kernel,
-            max_workers=2,
-        )
-        assert_bitwise(ref, fan)
 
 
 class TestGridResultApi:

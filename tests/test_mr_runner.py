@@ -207,7 +207,7 @@ class TestFaultInjection:
             seed=0,
         )
         stormy = run_plan_on_traces(
-            plan, flat_history(0.02), flat_history(0.03), slave_faults=storm
+            plan, flat_history(0.02), storm.perturb_history(flat_history(0.03))
         )
         assert stormy.completed
         assert stormy.master_restarts == 0
@@ -223,8 +223,7 @@ class TestFaultInjection:
             seed=0,
         )
         result = run_plan_on_traces(
-            plan, flat_history(0.02), flat_history(0.03),
-            master_faults=outage,
+            plan, outage.perturb_history(flat_history(0.02)), flat_history(0.03)
         )
         # The one-time master is outbid mid-run and must be restarted.
         assert result.master_restarts > 0
@@ -234,14 +233,16 @@ class TestFaultInjection:
         from repro.resilience.faults import FaultInjector, PriceSpike
 
         plan = make_plan(num_slaves=2, ts=1.0, tr=seconds(30))
-        args = dict(
-            master_faults=FaultInjector([PriceSpike(rate=0.05)], seed=4),
-            slave_faults=FaultInjector([PriceSpike(rate=0.05)], seed=5),
-        )
-        a = run_plan_on_traces(
-            plan, flat_history(0.02), flat_history(0.03), **args
-        )
-        b = run_plan_on_traces(
-            plan, flat_history(0.02), flat_history(0.03), **args
-        )
+        master = FaultInjector([PriceSpike(rate=0.05)], seed=4)
+        slave = FaultInjector([PriceSpike(rate=0.05)], seed=5)
+
+        def run():
+            return run_plan_on_traces(
+                plan,
+                master.perturb_history(flat_history(0.02)),
+                slave.perturb_history(flat_history(0.03)),
+            )
+
+        a = run()
+        b = run()
         assert a == b

@@ -498,7 +498,7 @@ class TestDriverKilled:
 
 
 class TestEndToEndParity:
-    """Seeded fault schedules must be invisible in sweep/grid results."""
+    """Seeded fault schedules must be invisible in sweep results."""
 
     def _sweep(self, market, **kwargs):
         history, future = market
@@ -567,37 +567,6 @@ class TestEndToEndParity:
         assert again.scheduler is not None
         assert again.scheduler.reused == again.counters.n_traces
         assert again.scheduler.dispatched == 0
-
-    def test_plan_grid_bitwise_identical_under_kill_chaos(self, market):
-        from repro.core.mapreduce import plan_master_slave
-        from repro.core.types import MapReduceJobSpec
-        from repro.mapreduce.grid import run_plan_grid
-
-        history, future = market
-        job = MapReduceJobSpec(
-            execution_time=4.0, num_slaves=3, recovery_time=0.01
-        )
-        plan = plan_master_slave(
-            history.to_distribution(),
-            history.to_distribution(),
-            job,
-            master_ondemand=0.35,
-            slave_ondemand=0.35,
-        )
-        starts = [0, 100, 400, 800]
-        healthy = run_plan_grid(
-            plan, future, future, start_slots=starts
-        )
-        chaotic = run_plan_grid(
-            plan,
-            future,
-            future,
-            start_slots=starts,
-            max_workers=2,
-            worker_faults=WorkerFaults(kill_rate=0.8, stall_rate=0.0, seed=7),
-        )
-        for name, array in healthy.to_dict().items():
-            assert np.array_equal(array, chaotic.to_dict()[name]), name
 
     def test_worker_faults_require_process_executor(self, market):
         with pytest.raises(ValueError, match="process"):

@@ -148,14 +148,20 @@ class TestJournalResume:
         assert journal.load()  # items were persisted
 
 
+def perturbed(injector, traces):
+    """Trace ``i`` perturbed with ``injector.derive(i)``: reproducible per
+    root seed, independent across traces."""
+    return [injector.derive(i).perturb_prices(t) for i, t in enumerate(traces)]
+
+
 class TestFaultedSweep:
     def test_faults_are_reproducible_per_seed(self, job, traces):
         injector = FaultInjector(
             [PriceSpike(rate=0.05, magnitude=5.0), SlotDropout(rate=0.1)],
             seed=13,
         )
-        a = run_sweep(traces[:10], BIDS, job, faults=injector)
-        b = run_sweep(traces[:10], BIDS, job, faults=injector)
+        a = run_sweep(perturbed(injector, traces[:10]), BIDS, job)
+        b = run_sweep(perturbed(injector, traces[:10]), BIDS, job)
         assert np.array_equal(a.cost, b.cost, equal_nan=True)
         assert np.array_equal(a.completed, b.completed)
 
@@ -165,7 +171,7 @@ class TestFaultedSweep:
         clean = run_sweep(quiet, BIDS, job, strategy=Strategy.ONE_TIME)
         injector = FaultInjector([PriceSpike(rate=0.3, magnitude=50)], seed=1)
         faulted = run_sweep(
-            quiet, BIDS, job, faults=injector, strategy=Strategy.ONE_TIME
+            perturbed(injector, quiet), BIDS, job, strategy=Strategy.ONE_TIME
         )
         assert clean.completed.all()
         assert not faulted.completed.all()
