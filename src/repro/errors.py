@@ -19,10 +19,12 @@ class SupportError(DistributionError):
 
 
 class SpecError(ReproError, ValueError):
-    """A job spec or decision request field is out of range.
+    """A job spec or decision request field is out of range, or
+    ``run_sweep``/``run_shards`` got a strategy, executor or option they
+    cannot run with.
 
-    Also a :class:`ValueError`, which these field checks raised before
-    they had a type of their own, so callers catching that keep working.
+    Also a :class:`ValueError`, which these checks raised before they
+    had a type of their own, so callers catching that keep working.
     """
 
 

@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-from ..errors import SweepExecutionError
+from ..errors import SpecError, SweepExecutionError
 from .journal import ItemFailure, SweepJournal
 from .types import SchedulerResult, SchedulerStats, Shard
 
@@ -542,10 +542,10 @@ def run_shards(
     shard.  ``worker_faults`` injects seeded process-level chaos (see
     :class:`~repro.resilience.faults.WorkerFaults`).  Both need a worker
     that can be killed, so the thread lane rejects them with
-    ``ValueError``.
+    :class:`~repro.errors.SpecError`, a ``ValueError``.
     """
     if executor not in ("process", "thread"):
-        raise ValueError(
+        raise SpecError(
             f"unknown executor {executor!r}; use 'thread' or 'process'"
         )
     payloads = list(payloads)
@@ -575,7 +575,7 @@ def run_shards(
     if executor == "thread" and (
         shard_timeout is not None or worker_faults is not None
     ):
-        raise ValueError(
+        raise SpecError(
             "shard_timeout and worker_faults need a worker that can be "
             "killed: use executor='process'"
         )

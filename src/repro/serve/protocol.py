@@ -2,10 +2,12 @@
 
 One request per line, one response per line, UTF-8 JSON with no framing
 beyond the newline — trivially scriptable (``nc`` + ``jq`` suffice) and
-safe for pipelining.  Python's ``json`` round-trips floats through
-``repr`` exactly, so a decision that crosses the wire (or the file cache,
-which reuses these encoders) compares bitwise-equal to the in-process
-object — the serving layer's equivalence guarantee survives transport.
+safe for pipelining.  The daemon accepts lines of up to 65,536 bytes
+(see :meth:`~repro.serve.service.BidService.handle_connection`).
+Python's ``json`` round-trips floats through ``repr`` exactly, so a
+decision that crosses the wire (or the file cache, which reuses these
+encoders) compares bitwise-equal to the in-process object — the serving
+layer's equivalence guarantee survives transport.
 
 Requests are objects with an ``op`` field:
 
@@ -53,9 +55,15 @@ __all__ = [
 ]
 
 
+#: One shared encoder: ``json.dumps(..., separators=...)`` would build a
+#: new encoder on every call, and encoding is on the hot path.  Every
+#: other setting is ``json.dumps``'s default, so the bytes are the same.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_line(payload: Dict[str, Any]) -> bytes:
     """Serialize one protocol object to a newline-terminated JSON line."""
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(payload) + "\n").encode("utf-8")
 
 
 def _reject_constant(name: str) -> Any:

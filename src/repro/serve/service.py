@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..constants import SLOTS_PER_DAY
 from ..core.types import DecisionRequest, DecisionResponse
@@ -37,6 +37,14 @@ from .protocol import (
 )
 
 __all__ = ["ServiceStats", "BidService", "start_server"]
+
+#: The longest line the daemon accepts, newline excluded: StreamReader's
+#: default limit, the bound ``readline()`` enforced.  It also caps the
+#: unterminated tail a connection may hold.
+_LINE_LIMIT = 2**16
+#: Bytes asked of one ``read()``: a round of pipelined decides arrives
+#: in a few reads.
+_READ_SIZE = 2**16
 
 
 @dataclass
@@ -199,24 +207,56 @@ class BidService:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one client: a JSON line in, a JSON line out, pipelined."""
+        """Serve one client: JSON lines in, JSON lines out, pipelined.
+
+        Every complete line of one read is answered in order, and those
+        answers leave in one write: a burst of pipelined requests costs
+        one ``send`` rather than one per answer.  A line longer than
+        65,536 bytes before its newline is answered with one error line,
+        after which the connection closes.
+        """
+        pending = bytearray()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = decode_line(line)
-                except ServeError as exc:
-                    self.stats.errors += 1
-                    answer = error_to_wire(str(exc))
+                chunk = await reader.read(_READ_SIZE)
+                pending += chunk
+                if not chunk:
+                    # EOF: an unterminated last line is still a line.
+                    lines = [bytes(pending)]
+                elif b"\n" in chunk:
+                    lines = bytes(pending).split(b"\n")
+                    pending[:] = lines.pop()
                 else:
-                    answer = self.handle_wire(payload)
-                writer.write(encode_line(answer))
-                await writer.drain()
+                    lines = []
+                oversized = len(pending) > _LINE_LIMIT
+                answers: List[bytes] = []
+                for line in lines:
+                    if len(line) > _LINE_LIMIT:
+                        oversized = True
+                        break
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        payload = decode_line(line)
+                    except ServeError as exc:
+                        self.stats.errors += 1
+                        answer = error_to_wire(str(exc))
+                    else:
+                        answer = self.handle_wire(payload)
+                    answers.append(encode_line(answer))
+                if oversized:
+                    self.stats.errors += 1
+                    answer = error_to_wire(
+                        f"wire line longer than {_LINE_LIMIT} bytes; "
+                        "closing the connection"
+                    )
+                    answers.append(encode_line(answer))
+                if answers:
+                    writer.write(b"".join(answers))
+                    await writer.drain()
+                if oversized or not chunk:
+                    break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

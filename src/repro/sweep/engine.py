@@ -28,7 +28,7 @@ from typing import (
 import numpy as np
 
 from ..core.types import JobSpec, Strategy, normalize_strategy
-from ..errors import MarketError
+from ..errors import MarketError, SpecError
 from .kernels import onetime_sweep_kernel, persistent_sweep_kernel
 from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, open_stack
@@ -285,12 +285,12 @@ def run_sweep(
     """
     strategy = normalize_strategy(strategy)
     if not strategy.sweepable:
-        raise ValueError(
+        raise SpecError(
             f"Strategy.{strategy.name} selects a bid; compute it first and "
             "sweep the resulting price with Strategy.PERSISTENT"
         )
     if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
+        raise SpecError(f"unknown executor {executor!r}; use 'thread' or 'process'")
     _slot_length_of(traces, job)
     matrix, n_valid = _stack_traces(_as_trace_list(traces), start_slots)
     n_traces = matrix.shape[0]
