@@ -422,11 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-size", type=_positive_int, default=None,
-        help="decision-cache capacity (default: 4096)",
+        help="capacity of the cache of inline decisions, those the "
+        "tables do not answer (default: 4096)",
     )
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="PATH",
-        help="enable the persistent file cache tier under this directory",
+        help="enable the persistent file tier of the inline-decision "
+        "cache under this directory",
     )
     p_serve.add_argument(
         "--interval", type=_nonnegative_float, default=0.0,

@@ -9,8 +9,9 @@ question; this package turns the same decision path into a service:
 * :mod:`repro.serve.ingest` — the price-ingest loop advancing per-market
   state and rebuilding tables off the hot path, behind a generation
   counter.
-* :mod:`repro.serve.cache` — the tiered decision cache (in-process LRU
-  over an optional persistent file layer), invalidated by table version.
+* :mod:`repro.serve.cache` — the tiered cache of inline decisions
+  (in-process LRU over an optional persistent file layer), invalidated
+  by table version.
 * :mod:`repro.serve.service` — the asyncio daemon speaking JSON lines
   over TCP (``repro-bid serve``), degrading to the on-demand fallback
   when tables go stale or the market faults.

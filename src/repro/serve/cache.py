@@ -1,5 +1,10 @@
 """Tiered decision cache: in-process LRU over an optional file layer.
 
+The daemon caches only the decisions it computes inline (non-tabled
+strategies and jobs outside the table grid): a table answer is already
+a grid lookup, cheaper than hashing its key (see
+:meth:`repro.serve.service.BidService.handle`).
+
 Responses are keyed by the *request bucket* (the job parameters, strategy
 and percentile that determine the answer) and stamped with the table
 version that produced them.  A version mismatch on read counts as

@@ -20,8 +20,9 @@ Responses echo ``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``.
 Decoding checks types, never coerces them: a line carrying the
 non-standard ``NaN`` / ``Infinity`` / ``-Infinity`` literals, a
 ``degrade`` that is not a boolean, a numeric field that is not a JSON
-number (``true`` is not 1.0), or a non-string ``instance_type`` is
-answered with :class:`~repro.errors.ServeError`.
+number (``true`` is not 1.0) or an integer too large for a float, or a
+non-string ``instance_type`` is answered with
+:class:`~repro.errors.ServeError`.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one wire line; raises :class:`ServeError` on malformed input,
-    including the ``NaN`` and ``Infinity`` literals."""
+    including the ``NaN`` and ``Infinity`` literals and integer literals
+    of more digits than ``int()`` converts."""
     try:
         payload = _DECODER.decode(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so
+        # is int()'s refusal of a literal over 4,300 digits.
         raise ServeError(f"malformed wire line: {exc}") from None
     if not isinstance(payload, dict):
         raise ServeError(
@@ -113,7 +117,12 @@ def _number(value: Any, field: str) -> float:
     if type(value) is float:
         return value
     if type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ServeError(
+                f"invalid decide request: {field} is too large for a float"
+            ) from None
     raise ServeError(
         f"invalid decide request: {field} must be a number, got {value!r}"
     )

@@ -5,11 +5,13 @@
 
 1. **degradation guard** — tables stale (older than the slot TTL) or
    market faulted → explicit on-demand fallback, never a wrong answer;
-2. **cache** — the tiered :class:`~repro.serve.cache.DecisionCache`,
-   invalidated implicitly by table-version mismatch;
-3. **tables** — the generation's precomputed decisions
-   (:class:`~repro.serve.tables.BidTableSet`), falling back to inline
-   computation for non-tabled strategies and off-grid jobs.
+2. **tables** — a request the generation's precomputed decisions
+   (:class:`~repro.serve.tables.BidTableSet`) cover is answered by a
+   grid lookup, which costs less than a cache lookup would;
+3. **cache, then inline computation** — non-tabled strategies and jobs
+   outside the grid go through the tiered
+   :class:`~repro.serve.cache.DecisionCache`, invalidated implicitly by
+   table-version mismatch, and are computed on a miss.
 
 ``serve_forever``/:func:`start_server` wrap the core in an asyncio TCP
 server speaking the :mod:`repro.serve.protocol` wire format alongside an
@@ -25,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from ..constants import SLOTS_PER_DAY
 from ..core.types import DecisionRequest, DecisionResponse
-from ..errors import InfeasibleBidError, ServeError
+from ..errors import InfeasibleBidError, ReproError, ServeError
 from .cache import DecisionCache
 from .ingest import IngestLoop, MarketState
 from .protocol import (
@@ -105,17 +107,25 @@ class BidService:
 
     # -- decision path (hot) ----------------------------------------------
     def handle(self, request: DecisionRequest) -> DecisionResponse:
-        """One decision, through guard → cache → tables.
+        """One decision, through guard → tables, or guard → cache →
+        inline computation for a request the tables do not cover.
 
         Never raises for market conditions: staleness, faults and
         infeasible optimizations all answer with the explicit on-demand
-        fallback and a ``degradation_reason``.  Only programmer errors
-        (e.g. an unregistered strategy) propagate.
+        fallback and a ``degradation_reason``.  A request no tier can
+        answer (a job at another slot length than the market's, or one
+        the compute tier rejects) raises a
+        :class:`~repro.errors.ReproError`, which :meth:`handle_wire`
+        answers with an error line.
         """
         tables = self.state.tables
         reason = self._degradation_reason(tables)
         if reason is not None:
             response = self._fallback(request, tables.version, reason)
+            self.stats.record(response)
+            return response
+        if tables.table_for(request) is not None:
+            response = tables.decide(request)
             self.stats.record(response)
             return response
         cached = self.cache.get(request, tables.version)
@@ -191,11 +201,11 @@ class BidService:
         op = payload.get("op", "decide")
         if op == "decide":
             try:
-                request = request_from_wire(payload)
-            except ServeError as exc:
+                response = self.handle(request_from_wire(payload))
+            except ReproError as exc:
                 self.stats.errors += 1
                 return error_to_wire(str(exc))
-            return response_to_wire(self.handle(request))
+            return response_to_wire(response)
         if op == "health":
             return self.health()
         if op == "stats":

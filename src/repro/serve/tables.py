@@ -16,8 +16,9 @@ Serving then reduces to a grid lookup:
   nearest bucket; :meth:`BidTable.interpolation_error_bound` bounds the
   bid-price error by the price oscillation across the bracketing cell,
   which shrinks as the grid refines.
-* **Outside the coverage** lookup raises and the caller falls back to
-  inline computation (see :mod:`repro.serve.service`).
+* **Outside the coverage** :meth:`BidTableSet.table_for` finds no
+  table and :meth:`BidTableSet.decide` computes inline (see
+  :mod:`repro.serve.service`).
 """
 
 from __future__ import annotations
@@ -335,31 +336,49 @@ class BidTableSet:
         """Ingest slots elapsed since this generation was built."""
         return max(0, current_slot - self.built_at_slot)
 
+    def table_for(self, request: DecisionRequest) -> Optional[BidTable]:
+        """The table that answers ``request``, or ``None`` to compute it.
+
+        A table answers a request of its own strategy whose ``t_s`` and
+        ``t_r`` fall inside the grid.  ``PERCENTILE``, ``PORTFOLIO`` and
+        ``CVAR`` requests, and jobs outside the grid, are computed
+        inline.  Raises :class:`~repro.errors.ServeError` when the job's
+        slot length is not the one this generation's prices were
+        observed at: no tier can answer such a job.
+        """
+        job = request.job
+        slot_length = self.client.history.slot_length
+        if job.slot_length != slot_length:
+            raise ServeError(
+                f"job slot length {job.slot_length!r} differs from the "
+                f"market's {slot_length!r}"
+            )
+        table = self.tables.get(request.strategy)
+        if table is None or not table.grid.covers(job):
+            return None
+        return table
+
     def decide(self, request: DecisionRequest) -> DecisionResponse:
         """Answer ``request`` from the tables, else compute inline.
 
-        Tabled strategies within grid coverage are served from the
+        Requests :meth:`table_for` routes to a table are served from the
         precomputed decisions (``cache_tier="table"``); everything else
         runs the client's unified path against the generation's own
         distribution snapshot (``cache_tier="compute"``).  Both carry
-        this generation's version stamp.
+        this generation's version stamp.  A job at another slot length
+        raises :class:`~repro.errors.ServeError`.
         """
-        table = self.tables.get(request.strategy)
+        table = self.table_for(request)
         if table is not None:
-            decision: Optional[BidDecision]
-            try:
-                decision = table.lookup(request.job)
-            except ServeError:
-                decision = None
-            if decision is not None:
-                reason = getattr(decision, "reason", None)
-                return DecisionResponse(
-                    decision=decision,
-                    request=request,
-                    table_version=self.version,
-                    cache_tier="table",
-                    degradation_reason=reason if decision.degraded else None,
-                )
+            decision = table.lookup(request.job)
+            reason = getattr(decision, "reason", None)
+            return DecisionResponse(
+                decision=decision,
+                request=request,
+                table_version=self.version,
+                cache_tier="table",
+                degradation_reason=reason if decision.degraded else None,
+            )
         response = self.client.respond(request)
         return response.with_serving(
             table_version=self.version,

@@ -220,6 +220,11 @@ class TestWireFormat:
         with pytest.raises(ServeError):
             decode_line(b'["a", "list"]')
 
+    def test_line_codec_rejects_integers_int_cannot_convert(self):
+        line = b'{"op": "decide", "job": {"execution_time": 1%s}}' % (b"0" * 5000)
+        with pytest.raises(ServeError, match="malformed wire line"):
+            decode_line(line)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_line_codec_rejects_non_finite_literals(self, literal):
         line = (

@@ -172,8 +172,21 @@ class TestFileTier:
         assert not list(tmp_path.glob("*.json"))
 
 
+def _tabled_and_inline(history, grid):
+    """A request the tables answer and one the service computes inline
+    (and caches), for the same on-grid job."""
+    job = JobSpec(
+        execution_time=grid.execution_times[0], slot_length=history.slot_length
+    )
+    return (
+        DecisionRequest(job=job, strategy=Strategy.PERSISTENT),
+        DecisionRequest(job=job, strategy=Strategy.PERCENTILE),
+    )
+
+
 class TestCacheUnderFaultedSource:
-    """The ISSUE scenario: hit/stale/miss accounting while the market faults."""
+    """Hit/stale/miss accounting of inline decisions while the market
+    faults; table answers never touch the cache."""
 
     def test_fault_degrades_without_touching_the_cache(
         self, serve_history, serve_grid
@@ -188,29 +201,27 @@ class TestCacheUnderFaultedSource:
         service = BidService(
             state, cache=DecisionCache(capacity=8), stale_after=1000
         )
-        request = DecisionRequest(
-            job=JobSpec(
-                execution_time=serve_grid.execution_times[0],
-                slot_length=serve_history.slot_length,
-            ),
-            strategy=Strategy.PERSISTENT,
-        )
-        # Warm path: miss → table, then a memory hit.
-        assert service.handle(request).cache_tier == "table"
-        assert service.handle(request).cache_tier == "memory"
+        tabled, inline = _tabled_and_inline(serve_history, serve_grid)
+        # Warm path: a table answer, which never touches the cache, then
+        # an inline miss → compute, then a memory hit.
+        assert service.handle(tabled).cache_tier == "table"
+        assert service.handle(inline).cache_tier == "compute"
+        assert service.handle(inline).cache_tier == "memory"
         # Exhaust the source: the state faults instead of raising.
         state.advance(10)
         assert state.faulted
-        degraded = service.handle(request)
-        assert degraded.degradation_reason is not None
-        assert "faulted" in degraded.degradation_reason
-        assert degraded.decision.price == ONDEMAND
+        for request in (tabled, inline):
+            degraded = service.handle(request)
+            assert degraded.degradation_reason is not None
+            assert "faulted" in degraded.degradation_reason
+            assert degraded.decision.price == ONDEMAND
         stats = service.cache.stats()
-        # The faulted request bypassed the cache entirely.
+        # The faulted requests bypassed the cache entirely.
         assert (stats.misses, stats.memory_hits, stats.stale) == (1, 1, 0)
         # Recovery: clearing the fault serves the cached answer again.
         state.clear_fault()
-        assert service.handle(request).cache_tier == "memory"
+        assert service.handle(inline).cache_tier == "memory"
+        assert service.handle(tabled).cache_tier == "table"
 
     def test_rebuild_after_fault_invalidates_cached_decisions(
         self, serve_history, serve_grid
@@ -224,18 +235,17 @@ class TestCacheUnderFaultedSource:
         service = BidService(
             state, cache=DecisionCache(capacity=8), stale_after=1000
         )
-        request = DecisionRequest(
-            job=JobSpec(
-                execution_time=serve_grid.execution_times[0],
-                slot_length=serve_history.slot_length,
-            ),
-            strategy=Strategy.PERSISTENT,
-        )
-        service.handle(request)
-        assert service.handle(request).cache_tier == "memory"
+        tabled, inline = _tabled_and_inline(serve_history, serve_grid)
+        service.handle(inline)
+        assert service.handle(inline).cache_tier == "memory"
         state.advance(5)
         state.rebuild()  # new generation, new version
-        refreshed = service.handle(request)
-        assert refreshed.cache_tier == "table"  # stale entry was evicted
+        refreshed = service.handle(inline)
+        assert refreshed.cache_tier == "compute"  # stale entry was evicted
         assert refreshed.table_version == state.tables.version
         assert service.cache.stats().stale == 1
+        # A table answer carries the new version without a cache lookup.
+        answer = service.handle(tabled)
+        assert answer.cache_tier == "table"
+        assert answer.table_version == state.tables.version
+        assert service.cache.stats().lookups == 3

@@ -1,9 +1,11 @@
-"""The decision daemon: guard → cache → tables, and the TCP transport."""
+"""The decision daemon: guard → tables, or guard → cache → inline
+computation, and the TCP transport."""
 
 import asyncio
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from repro.core.types import (
     PortfolioDecision,
     Strategy,
 )
-from repro.errors import ServeError
+from repro.errors import MarketError, ServeError
 from repro.market.price_sources import TracePriceSource
 from repro.serve.cache import DecisionCache
 from repro.serve.ingest import IngestLoop, MarketState
@@ -66,15 +68,85 @@ def grid_request(serve_history, serve_grid):
     )
 
 
+class _CacheReached(Exception):
+    pass
+
+
+class _RaisingCache(DecisionCache):
+    """A cache that fails the test the moment the service consults it."""
+
+    def get(self, request, table_version):
+        raise _CacheReached(request)
+
+    def put(self, request, response):
+        raise _CacheReached(request)
+
+
 class TestHandle:
-    def test_tier_progression_table_then_memory(self, service, grid_request):
+    def test_tier_progression_table_always_compute_then_memory(
+        self, service, grid_request
+    ):
         first = service.handle(grid_request)
         second = service.handle(grid_request)
-        assert first.cache_tier == "table"
-        assert second.cache_tier == "memory"
+        assert first.cache_tier == second.cache_tier == "table"
         assert second.decision == first.decision
-        assert service.stats.requests == 2
-        assert service.stats.by_tier == {"table": 1, "memory": 1}
+        assert all(v == 0 for v in service.cache.stats().as_dict().values())
+        inline = replace(grid_request, strategy=Strategy.PERCENTILE)
+        computed = service.handle(inline)
+        cached = service.handle(inline)
+        assert computed.cache_tier == "compute"
+        assert cached.cache_tier == "memory"
+        assert cached.decision == computed.decision
+        assert service.stats.requests == 4
+        assert service.stats.by_tier == {"table": 2, "compute": 1, "memory": 1}
+
+    def test_tabled_requests_are_the_tables_answers_and_skip_the_cache(
+        self, state, serve_history, serve_grid
+    ):
+        service = BidService(state, cache=_RaisingCache(), stale_after=50)
+        requests = build_requests(
+            200,
+            grid=serve_grid,
+            slot_length=serve_history.slot_length,
+            rng=np.random.default_rng(20140814),
+        )
+        on_grid = {
+            (t_s, t_r)
+            for t_s in serve_grid.execution_times
+            for t_r in serve_grid.recovery_times
+        }
+        placed = {
+            (r.job.execution_time, r.job.recovery_time) in on_grid
+            for r in requests
+        }
+        assert placed == {True, False}  # both on-grid and off-grid jobs
+        for request in requests:
+            served = service.handle(request)
+            assert served == state.tables.decide(request)  # floats bit for bit
+            assert served.cache_tier == "table"
+
+    @pytest.mark.parametrize(
+        "strategy,execution_time",
+        [
+            (Strategy.PERCENTILE, 1.0),
+            (Strategy.PORTFOLIO, 1.0),
+            (Strategy.PERSISTENT, 100.0),  # outside the grid
+            (Strategy.ONE_TIME, 0.25),  # outside the grid
+        ],
+    )
+    def test_inline_requests_go_through_the_cache(
+        self, state, serve_history, strategy, execution_time
+    ):
+        service = BidService(state, cache=_RaisingCache(), stale_after=50)
+        request = DecisionRequest(
+            job=JobSpec(
+                execution_time=execution_time,
+                slot_length=serve_history.slot_length,
+            ),
+            strategy=strategy,
+        )
+        with pytest.raises(_CacheReached):
+            service.handle(request)
 
     def test_stale_tables_degrade(self, state, service, grid_request):
         # Push the ingest counter past the TTL without rebuilding.
@@ -104,8 +176,36 @@ class TestHandle:
         service.handle(grid_request)
         payload = service.stats_payload()
         assert payload["service"]["requests"] == 1
+        assert payload["service"]["by_tier"] == {"table": 1}
+        assert all(v == 0 for v in payload["cache"].values())
+        service.handle(replace(grid_request, strategy=Strategy.PERCENTILE))
+        payload = service.stats_payload()
+        assert payload["service"]["requests"] == 2
         assert payload["cache"]["misses"] == 1
         assert payload["table_version"] == service.state.tables.version
+
+    @pytest.mark.parametrize("slot_length", [0.0833, 1e300])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_another_slot_length_is_an_error_line(
+        self, service, grid_request, strategy, slot_length
+    ):
+        job = replace(grid_request.job, slot_length=slot_length)
+        payload = request_to_wire(replace(grid_request, job=job, strategy=strategy))
+        answer = service.handle_wire(payload)
+        assert answer["ok"] is False
+        assert repr(slot_length) in answer["error"]
+        assert repr(DEFAULT_SLOT_HOURS) in answer["error"]
+        assert service.stats.errors == 1
+        assert service.stats.requests == 0
+        assert all(v == 0 for v in service.cache.stats().as_dict().values())
+
+    def test_the_guard_answers_any_slot_length(self, state, service, grid_request):
+        state.faulted = True
+        state.fault_reason = "injected"
+        job = replace(grid_request.job, slot_length=0.0833)
+        response = service.handle(replace(grid_request, job=job))
+        assert response.decision.degraded
+        assert response.decision.price == ONDEMAND
 
 
 class TestWireDispatch:
@@ -126,6 +226,31 @@ class TestWireDispatch:
         answer = service.handle_wire({"op": "decide", "job": {}})
         assert not answer["ok"]
         assert "invalid decide request" in answer["error"]
+
+    @pytest.mark.parametrize("field", ["execution_time", "percentile"])
+    def test_an_integer_too_large_for_a_float_is_a_structured_error(
+        self, service, grid_request, field
+    ):
+        payload = request_to_wire(replace(grid_request, strategy=Strategy.PERCENTILE))
+        target = payload["job"] if field in payload["job"] else payload
+        target[field] = 10**400
+        answer = service.handle_wire(payload)
+        assert answer["ok"] is False
+        assert field in answer["error"] and "too large" in answer["error"]
+        assert service.stats.errors == 1
+
+    def test_a_decide_that_raises_is_a_structured_error(
+        self, service, grid_request, monkeypatch
+    ):
+        def refuse(request):
+            raise MarketError("compute tier refused")
+
+        monkeypatch.setattr(service.state.tables.client, "respond", refuse)
+        payload = request_to_wire(replace(grid_request, strategy=Strategy.PERCENTILE))
+        answer = service.handle_wire(payload)
+        assert answer == {"ok": False, "error": "compute tier refused"}
+        assert service.stats.errors == 1
+        assert service.stats.requests == 0
 
 
 async def _roundtrip_lines(service, lines):
@@ -175,6 +300,37 @@ class TestTcpTransport:
         assert not bad["ok"] and "malformed" in bad["error"]
         assert good["ok"]
         assert service.stats.errors == 1
+
+    def test_a_decide_that_raises_keeps_the_rest_of_the_burst(self, service):
+        """A CVAR decide at another slot length, between two ops sent in
+        one write, gets an error line; the ops around it are answered
+        and the connection survives."""
+
+        async def burst():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            server = await start_server(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(HEALTH + BAD_CVAR + b'{"op":"stats"}\n')
+                await writer.drain()
+                lines = [await reader.readline() for _ in range(3)]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+            return lines, unhandled
+
+        lines, unhandled = asyncio.run(burst())
+        health, decide, stats = [json.loads(line) for line in lines]
+        assert health["status"] == "serving"
+        assert decide["ok"] is False and "slot length" in decide["error"]
+        assert stats["ok"] and stats["service"]["errors"] == 1
+        assert not unhandled
 
     def test_server_runs_the_ingest_loop(self, state, service):
         async def serve_and_ingest():
@@ -340,21 +496,28 @@ def _line_by_line(service, data):
     return answers
 
 
-def _decide_line(strategy, execution_time=1.0, **fields):
+def _decide_line(
+    strategy, execution_time=1.0, slot_length=DEFAULT_SLOT_HOURS, **fields
+):
     job = {
         "execution_time": execution_time,
         "recovery_time": seconds(30),
-        "slot_length": DEFAULT_SLOT_HOURS,
+        "slot_length": slot_length,
     }
     payload = {"op": "decide", "job": job, "strategy": strategy, **fields}
     return json.dumps(payload, ensure_ascii=False).encode() + b"\n"
 
 
 HEALTH = b'{"op":"health"}\n'
+#: A decide the daemon rejects after decoding it: a job at a slot length
+#: other than the market's.
+BAD_CVAR = _decide_line("cvar", slot_length=0.0833)
 
 #: Frames the fuzzer strings together: a valid decide of every kind (one
-#: off the table grid), the introspection ops, three malformed lines, a
-#: blank and a CRLF line, and raw multi-byte UTF-8 for a cut to split.
+#: off the table grid), the introspection ops, three malformed lines, two
+#: decides the daemon rejects (one at another slot length, one with an
+#: integer too large for a float), a blank and a CRLF line, and raw
+#: multi-byte UTF-8 for a cut to split.
 FRAMES = [
     *(_decide_line(strategy.value) for strategy in Strategy),
     _decide_line("persistent", execution_time=1.5),
@@ -364,6 +527,8 @@ FRAMES = [
     b'{"op": "decide", "job": \n',
     b'{"op":"decide","job":{"execution_time":NaN,"slot_length":0.08}}\n',
     b"[1, 2]\n",
+    BAD_CVAR,
+    _decide_line("persistent", execution_time=10**400),
     b"\n",
     b'{"op":"health"}\r\n',
 ]

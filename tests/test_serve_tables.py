@@ -273,6 +273,42 @@ class TestBidTableSet:
         assert response.cache_tier == "compute"
         assert response.table_version == table_set.version
 
+    def test_table_for_routes_tabled_strategies_inside_the_grid(
+        self, table_set, serve_history, serve_grid
+    ):
+        def request(strategy, execution_time, recovery_time=0.0):
+            job = JobSpec(
+                execution_time=execution_time,
+                recovery_time=recovery_time,
+                slot_length=serve_history.slot_length,
+            )
+            return DecisionRequest(job=job, strategy=strategy)
+
+        for strategy in (Strategy.ONE_TIME, Strategy.PERSISTENT):
+            table = table_set.tables[strategy]
+            # On a grid point, between grid points, and on the edges.
+            for t_s in (serve_grid.execution_times[1], 1.37, 0.5, 4.0):
+                assert table_set.table_for(request(strategy, t_s)) is table
+            assert table_set.table_for(request(strategy, 0.49)) is None
+            assert table_set.table_for(request(strategy, 4.01)) is None
+            assert table_set.table_for(request(strategy, 1.0, 1.0)) is None
+        for strategy in (Strategy.PERCENTILE, Strategy.PORTFOLIO, Strategy.CVAR):
+            assert table_set.table_for(request(strategy, 1.0)) is None
+
+    @pytest.mark.parametrize("slot_length", [0.0833, 1e300])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_another_slot_length_is_rejected(
+        self, table_set, serve_history, strategy, slot_length
+    ):
+        request = DecisionRequest(
+            job=JobSpec(execution_time=1.0, slot_length=slot_length),
+            strategy=strategy,
+        )
+        with pytest.raises(ServeError) as raised:
+            table_set.decide(request)
+        assert repr(slot_length) in str(raised.value)
+        assert repr(serve_history.slot_length) in str(raised.value)
+
     def test_version_tracks_the_history(self, serve_history, serve_grid):
         a = build_table_set(
             serve_history, ondemand_price=ONDEMAND, grid=serve_grid
