@@ -378,8 +378,10 @@ class DecisionRequest:
         on-demand baseline (a :class:`DegradedDecision`) instead of
         raising :class:`~repro.errors.InfeasibleBidError`.
     instance_type:
-        Optional routing key for multi-market servers; the in-process
-        client ignores it.
+        Optional name of the market the request is meant for.  The
+        in-process client ignores it; the serve daemon answers a
+        request naming another type than the one it serves with an
+        error.
     """
 
     job: JobSpec

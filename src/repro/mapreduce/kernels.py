@@ -29,14 +29,22 @@ add-for-add.
 
 :func:`mapreduce_grid_kernel_event` reuses the block scan of
 :mod:`repro.sweep.kernels` (the ``price <= bid`` threshold test) to
-walk only *accepted* slots per lane (with per-lane slot windows), in
-four stages: find each master's first up-slot, simulate the slave
-window, walk the master's billing/restart/completion events, then
-re-simulate the (rare) slave windows truncated by a master restart cap.
+walk only *accepted* slots per lane, in four stages: find each
+master's first up-slot, simulate the slave window, walk the master's
+billing/restart/completion events, then re-simulate the (rare) slave
+windows truncated by a master restart cap.
 
-Grid-level orchestration (plan/trace normalization, the scalar oracle
-lane, shared-memory process fan-out) lives in
-:mod:`repro.mapreduce.grid`.
+Each lane scans in a frame of its own: a block is a range of 32
+*offsets* from the lane's window start, not of absolute slots.  Table 4
+and Figure 7 start every run at a calm slot somewhere in its future's
+first day.  In absolute slots the lockstep loop would step through
+every block from the earliest start to the latest window end, with
+most lanes idle in most of them; in lane frames every run starts in
+the first block.  A lane's float accumulators see the same operations
+in the same order either way.
+
+Grid-level orchestration (plan/trace normalization and the scalar
+oracle lane) lives in :mod:`repro.mapreduce.grid`.
 """
 
 from __future__ import annotations
@@ -126,17 +134,17 @@ def _first_events(
     first = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n)
     r_row, r_bid, r_lo, r_hi = row, bid, lo_arr, hi_arr
-    lo = int(lo_arr.min()) if n else 0
-    max_hi = int(hi_arr.max()) if n else 0
+    lo = 0
+    max_len = int((hi_arr - lo_arr).max()) if n else 0
     events = 0
-    while idx.size and lo < max_hi:
-        hi = min(lo + block, max_hi)
+    while idx.size and lo < max_len:
+        hi = min(lo + block, max_len)
         slots, counts = _block_events(prices, r_row, r_bid, lo, hi, r_lo, r_hi)
         hit = counts > 0
         if slots is not None and hit.any():
             events += int(np.count_nonzero(hit))
             first[idx[hit]] = slots[hit, 0]
-        done = hit | (hi >= r_hi)
+        done = hit | (r_lo + hi >= r_hi)
         keep = ~done
         idx, r_row, r_bid, r_lo, r_hi = (
             idx[keep], r_row[keep], r_bid[keep], r_lo[keep], r_hi[keep]
@@ -186,10 +194,10 @@ def _slave_walk(
     prev = np.full(n, -1, dtype=np.int64)
 
     events = 0
-    lo = int(lo_arr.min()) if n else 0
-    max_hi = int(hi_arr.max()) if n else 0
-    while idx.size and lo < max_hi:
-        hi = min(lo + block, max_hi)
+    lo = 0
+    max_len = int((hi_arr - lo_arr).max()) if n else 0
+    while idx.size and lo < max_len:
+        hi = min(lo + block, max_len)
         slots, counts = _block_events(
             slave_prices, r_row, r_bid, lo, hi, r_lo, r_hi
         )
@@ -224,7 +232,7 @@ def _slave_walk(
                 tc = np.where(fin_now, slot, tc)
                 fin = fin | fin_now
                 prev = np.where(act, slot, prev)
-        done = fin | (hi >= r_hi)
+        done = fin | (r_lo + hi >= r_hi)
         if done.any():
             # Trailing knock: the window continues past the last
             # accepted slot of an unfinished lane.
@@ -356,10 +364,10 @@ def mapreduce_grid_kernel_event(
         comp = np.zeros(idx.size, dtype=bool)
         brk = np.full(idx.size, _NO_SLOT, dtype=np.int64)
 
-        lo = int(r_lo.min())
-        max_hi = int(r_hi.max())
-        while idx.size and lo < max_hi:
-            hi = min(lo + _BLOCK, max_hi)
+        lo = 0
+        max_len = int((r_hi - r_lo).max())
+        while idx.size and lo < max_len:
+            hi = min(lo + _BLOCK, max_len)
             slots, counts = _block_events(
                 master_prices, r_row, r_bid, lo, hi, r_lo, r_hi
             )
@@ -388,7 +396,7 @@ def mapreduce_grid_kernel_event(
                         tot = np.where(comp_now, tot + m_acc, tot)
                         comp = comp | comp_now
                     prev = np.where(live, slot, prev)
-            done = capped | comp | (hi >= r_hi)
+            done = capped | comp | (r_lo + hi >= r_hi)
             if done.any():
                 # Budget-exhausted lanes: a trailing gap is one more
                 # failure — possibly the capping one — and the open

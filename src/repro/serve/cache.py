@@ -75,8 +75,10 @@ def _bucket_key(request: DecisionRequest) -> str:
 
     ``repr`` of floats is exact, so two requests share a key iff the
     decision path sees identical inputs.  ``degrade`` is excluded: the
-    serving layer always degrades rather than raising, and
-    ``instance_type`` routing happens before the cache.
+    serving layer always degrades rather than raising.  So is
+    ``instance_type``: one daemon serves one market, and
+    :meth:`~repro.serve.service.BidService.handle` rejects a request
+    naming another type before it reaches the cache.
     """
     job = request.job
     raw = repr(

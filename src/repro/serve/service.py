@@ -113,11 +113,20 @@ class BidService:
         Never raises for market conditions: staleness, faults and
         infeasible optimizations all answer with the explicit on-demand
         fallback and a ``degradation_reason``.  A request no tier can
-        answer (a job at another slot length than the market's, or one
+        answer (one naming another instance type than the served
+        market's, a job at another slot length than the market's, or one
         the compute tier rejects) raises a
         :class:`~repro.errors.ReproError`, which :meth:`handle_wire`
         answers with an error line.
         """
+        wanted = request.instance_type
+        if wanted is not None:
+            served = self.state.instance_type
+            if served is not None and wanted != served:
+                raise ServeError(
+                    f"request names instance type {wanted!r}, but this "
+                    f"daemon serves {served!r}"
+                )
         tables = self.state.tables
         reason = self._degradation_reason(tables)
         if reason is not None:

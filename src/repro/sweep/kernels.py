@@ -38,7 +38,9 @@ in lockstep over their k-th accepted slot of the block.  Finished and
 exhausted lanes are compacted away at block boundaries, so late blocks
 run over a shrinking live set.  The MapReduce plan-grid kernel
 (:mod:`repro.mapreduce.kernels`) walks its lanes with the same block
-scan.
+scan, each lane in a frame of offsets from its own window start
+(:func:`_block_events`' ``lane_lo``/``lane_hi``); the sweep kernels'
+lanes all start at slot 0 and scan absolute blocks.
 
 Design notes
 ------------
@@ -212,23 +214,32 @@ def _block_events(
     accepted positions to the front without disturbing their temporal
     order, which is exactly the lane's event schedule.
 
-    ``lane_lo`` / ``lane_hi`` optionally restrict each lane to its own
-    slot window ``[lane_lo[i], lane_hi[i])`` — the MapReduce grid
-    kernels walk lanes whose simulation windows start at different
-    trace offsets (per-run start slots) and end at different horizons.
+    ``lane_lo`` / ``lane_hi`` optionally give each lane a frame of its
+    own: ``[lo, hi)`` is then a block of *offsets* from the lane's window
+    start, lane ``i`` tests slot ``lane_lo[i] + offset`` only while it
+    lies before ``lane_hi[i]``, and the returned slots are absolute.
+    The MapReduce grid kernel walks lanes whose windows start at
+    different trace offsets (per-run start slots) and end at different
+    horizons; in their own frames, lanes started hours apart scan the
+    same blocks.  Gather indices are clipped to the matrix width, so
+    the columns past ``counts[i]`` are valid slot indices as well.
     """
-    acc = prices[:, lo:hi][trace] <= bid[:, None]
-    if lane_lo is not None:
-        slots_ax = np.arange(lo, hi)
-        acc &= (slots_ax[None, :] >= lane_lo[:, None]) & (
-            slots_ax[None, :] < lane_hi[:, None]
+    if lane_lo is None:
+        acc = prices[:, lo:hi][trace] <= bid[:, None]
+    else:
+        slots_ax = lane_lo[:, None] + np.arange(lo, hi)
+        cols = np.minimum(slots_ax, prices.shape[1] - 1)
+        acc = (prices[trace[:, None], cols] <= bid[:, None]) & (
+            slots_ax < lane_hi[:, None]
         )
     counts = acc.sum(axis=1)
     max_count = int(counts.max()) if counts.size else 0
     if max_count == 0:
         return None, counts
     order = np.argsort(~acc, axis=1, kind="stable")[:, :max_count]
-    return order + lo, counts
+    if lane_lo is None:
+        return order + lo, counts
+    return np.take_along_axis(cols, order, axis=1), counts
 
 
 def persistent_sweep_kernel(

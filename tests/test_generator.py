@@ -14,6 +14,7 @@ from repro.traces.generator import (
     generate_correlated_history,
     generate_equilibrium_history,
     generate_provider_history,
+    generate_regime_shift_history,
     generate_renewal_history,
     market_model_for,
 )
@@ -172,3 +173,42 @@ class TestPinnedRenewal:
                 )
                 digest.update(trace.prices.tobytes())
         assert digest.hexdigest()[:16] == pin
+
+    @pytest.mark.parametrize(
+        ("days", "floor_hours", "tail_hours", "pin"),
+        [
+            (8.0, 36.0, 2.5, "4ec4c80db2f01bb1"),  # FULL_CONFIG futures
+            (3.0, 0.4, 0.5, "3da274a135b6e5b1"),  # Fig. 4 candidate days
+        ],
+        ids=["full-config", "fig4"],
+    )
+    def test_the_generator_is_left_where_its_pin_says(
+        self, pinned_numerics, days, floor_hours, tail_hours, pin
+    ):
+        """The double drawn right after a trace: a loop that draws the
+        right prices but consumes a different number of draws moves it."""
+        digest = hashlib.sha256()
+        for name in ("r3.xlarge", "c3.4xlarge", "m1.xlarge"):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                generate_renewal_history(
+                    name,
+                    days=days,
+                    rng=rng,
+                    floor_episode_hours=floor_hours,
+                    tail_episode_hours=tail_hours,
+                )
+                digest.update(np.float64(rng.random()).tobytes())
+        assert digest.hexdigest()[:16] == pin
+
+    def test_regime_shift_traces_match_their_pin(self, pinned_numerics):
+        """Two renewal draws chained on one generator: the second regime
+        starts where the first left the stream."""
+        digest = hashlib.sha256()
+        for name in ("r3.xlarge", "c3.4xlarge", "m1.xlarge"):
+            for seed in range(20):
+                trace = generate_regime_shift_history(
+                    name, days=6.0, rng=np.random.default_rng(seed), shift_hour=60.0
+                )
+                digest.update(trace.prices.tobytes())
+        assert digest.hexdigest()[:16] == "6d1596003deb537c"

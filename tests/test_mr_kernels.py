@@ -11,9 +11,14 @@ that never launch, and ``max_slots`` truncation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.experiments.fig7_mapreduce_costs as fig7
+import repro.experiments.table4_mapreduce_plans as table4
 from repro.core.types import BidDecision, BidKind, MapReduceJobSpec, MapReducePlan
 from repro.errors import MarketError, PlanError
+from repro.experiments.common import FAST_CONFIG
 from repro.mapreduce import (
     TERMINATION_CODES,
     MapReduceGridResult,
@@ -55,12 +60,12 @@ def make_plan(
     )
 
 
-def random_plan(rng):
+def random_plan(rng, max_work=0.3):
     return make_plan(
         master_bid=float(rng.choice([0.05, 0.4, 0.7, 1.1, 5.0])),
         slave_bid=float(rng.choice([0.05, 0.4, 0.7, 1.1, 5.0])),
         num_slaves=int(rng.integers(1, 5)),
-        work=float(rng.uniform(0.02, 0.3)),
+        work=float(rng.uniform(0.02, max_work)),
         recovery=float(rng.choice([0.0, 0.002, 0.01])),
     )
 
@@ -75,6 +80,15 @@ def random_trace(rng, n_slots):
     )
 
 
+def sticky_trace(rng, n_slots):
+    """Geometric-length episodes at a few levels: long accepted runs and
+    long gaps, the texture of the paper's renewal futures."""
+    levels = rng.choice([0.1, 0.45, 0.8, 1.5, 3.0], size=n_slots)
+    lengths = rng.geometric(0.15, size=n_slots)
+    prices = np.repeat(levels, lengths)[:n_slots]
+    return SpotPriceHistory(prices=np.ascontiguousarray(prices), slot_length=SLOT)
+
+
 def flat_trace(price, n_slots=300):
     return SpotPriceHistory(prices=np.full(n_slots, price), slot_length=SLOT)
 
@@ -85,6 +99,112 @@ def assert_bitwise(ref: MapReduceGridResult, got: MapReduceGridResult):
         assert np.array_equal(expected, actual, equal_nan=True), (
             f"{key} diverged:\n ref={expected}\n got={actual}"
         )
+
+
+def assert_same_bits(ref: MapReduceGridResult, got: MapReduceGridResult):
+    """Every field equal byte for byte: NaN payloads and signed zeros too."""
+    for key, expected in ref.to_dict().items():
+        actual = got.to_dict()[key]
+        assert expected.dtype == actual.dtype and expected.shape == actual.shape
+        assert expected.tobytes() == actual.tobytes(), (
+            f"{key} diverged:\n ref={expected}\n got={actual}"
+        )
+
+
+def _plan_error(**kwargs):
+    with pytest.raises(PlanError) as info:
+        run_plan_grid(**kwargs)
+    return str(info.value)
+
+
+@st.composite
+def staggered_grids(draw):
+    """1-24 lanes over ragged trace rows, each run started anywhere its
+    window fits: windows end at a row's last slot (inside the +inf
+    padding of the stacked matrix) or at ``max_slots``."""
+    n_plans = draw(st.integers(1, 3))
+    n_runs = draw(st.integers(1, 24 // n_plans))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Up to 90 slots of work per slave, so walks span several blocks.
+    plans = [random_plan(rng, max_work=1.5) for _ in range(n_plans)]
+    n_rows = draw(st.integers(1, n_runs))
+    # Lengths and budgets next to a multiple of the 32-slot scan block.
+    edges = st.sampled_from([31, 32, 33, 34, 63, 64, 65, 66, 97, 98, 129, 130])
+
+    def rows():
+        length = st.integers(2, 260) | edges
+        lengths = draw(st.lists(length, min_size=n_rows, max_size=n_rows))
+        make = (random_trace, sticky_trace)
+        return [make[int(rng.integers(2))](rng, k) for k in lengths]
+
+    m_rows, s_rows = rows(), rows()
+    pick = st.lists(st.integers(0, n_rows - 1), min_size=n_runs, max_size=n_runs)
+    masters = [m_rows[i] for i in draw(pick)]
+    slaves = [s_rows[i] for i in draw(pick)]
+    starts = [
+        draw(st.integers(0, min(m.n_slots, s.n_slots) - 1))
+        for m, s in zip(masters, slaves)
+    ]
+    kwargs = dict(
+        plans=plans,
+        master_traces=masters,
+        slave_traces=slaves,
+        start_slots=starts,
+        max_slots=draw(st.none() | st.integers(1, 260) | edges),
+        max_master_restarts=draw(st.integers(0, 3)),
+    )
+    run = draw(st.integers(0, n_runs - 1))
+    bad_starts = list(starts)
+    bad_starts[run] = draw(
+        st.integers(-5, -1)
+        | st.integers(min(masters[run].n_slots, slaves[run].n_slots), 300)
+    )
+    bad = draw(
+        st.sampled_from(
+            [
+                {"max_slots": draw(st.integers(-3, 0))},
+                {"max_master_restarts": draw(st.integers(-3, -1))},
+                {"start_slots": bad_starts},
+            ]
+        )
+    )
+    return kwargs, bad
+
+
+class TestRunPlanGridContract:
+    """``run_plan_grid``'s two lanes agree on every grid they accept and
+    refuse the same bad arguments alike."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=staggered_grids())
+    def test_event_lane_equals_scalar_lane(self, case):
+        kwargs, bad = case
+        ref = run_plan_grid(kernel="scalar", **kwargs)
+        got = run_plan_grid(kernel="event", **kwargs)
+        assert_same_bits(ref, got)
+        broken = {**kwargs, **bad}
+        assert _plan_error(kernel="event", **broken) == _plan_error(
+            kernel="scalar", **broken
+        )
+
+    @pytest.mark.parametrize("module", [table4, fig7], ids=["table4", "fig7"])
+    def test_paper_grids_match_scalar(self, module, monkeypatch):
+        """The paper's own grids at FAST_CONFIG: one plan over renewal
+        futures started at calm slots spread over their first day."""
+        starts_seen = []
+
+        def both_lanes(plans, masters, slaves, **kwargs):
+            got = run_plan_grid(plans, masters, slaves, **kwargs)
+            ref = run_plan_grid(plans, masters, slaves, kernel="scalar", **kwargs)
+            assert got.kernel == "event"
+            assert_same_bits(ref, got)
+            starts_seen.append(kwargs["start_slots"])
+            return got
+
+        monkeypatch.setattr(module, "run_plan_grid", both_lanes)
+        module.run(FAST_CONFIG)
+        assert len(starts_seen) == 5
+        assert all(len(set(starts)) > 1 for starts in starts_seen)
 
 
 class TestRandomizedEquivalence:

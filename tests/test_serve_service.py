@@ -208,6 +208,67 @@ class TestHandle:
         assert response.decision.price == ONDEMAND
 
 
+class TestInstanceType:
+    """One daemon serves one market: a decide naming another is refused."""
+
+    def test_another_type_is_one_error_line_naming_both(self, service, grid_request):
+        payload = request_to_wire(replace(grid_request, instance_type="c4.large"))
+        answer = service.handle_wire(payload)
+        assert answer == {
+            "ok": False,
+            "error": "request names instance type 'c4.large', but this "
+            "daemon serves 'r3.xlarge'",
+        }
+        assert service.stats.errors == 1
+        assert service.stats.requests == 0
+        assert all(v == 0 for v in service.cache.stats().as_dict().values())
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["serving", "faulted"])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_refused_for_every_strategy_and_by_a_degraded_market(
+        self, state, service, grid_request, strategy, faulted
+    ):
+        # The on-demand fallback is the served market's price, so a
+        # degraded daemon has no answer for another market either.
+        state.faulted = faulted
+        state.fault_reason = "injected" if faulted else None
+        request = replace(grid_request, strategy=strategy, instance_type="c4.large")
+        with pytest.raises(ServeError, match=r"'c4\.large'.*'r3\.xlarge'"):
+            service.handle(request)
+        assert service.stats.requests == 0
+
+    @pytest.mark.parametrize("named", [None, "r3.xlarge"], ids=["unnamed", "served"])
+    def test_a_request_for_the_served_market_is_answered(
+        self, service, grid_request, named
+    ):
+        plain = service.handle_wire(request_to_wire(grid_request))
+        answer = service.handle_wire(
+            request_to_wire(replace(grid_request, instance_type=named))
+        )
+        assert answer["ok"] and answer["cache_tier"] == "table"
+        assert answer["decision"] == plain["decision"]
+        assert service.stats.errors == 0
+
+    def test_a_daemon_whose_trace_names_no_type_answers_any(
+        self, serve_history, serve_grid, grid_request
+    ):
+        unnamed = replace(serve_history, instance_type=None)
+        state = MarketState(
+            TracePriceSource(unnamed),
+            initial_history=unnamed,
+            ondemand_price=ONDEMAND,
+            grid=serve_grid,
+            rebuild_every=6,
+        )
+        service = BidService(state, cache=DecisionCache(capacity=64), stale_after=50)
+        assert state.instance_type is None
+        answer = service.handle_wire(
+            request_to_wire(replace(grid_request, instance_type="c4.large"))
+        )
+        assert answer["ok"] and answer["cache_tier"] == "table"
+        assert service.stats.errors == 0
+
+
 class TestWireDispatch:
     def test_decide_roundtrip(self, service, grid_request):
         answer = service.handle_wire(request_to_wire(grid_request))
@@ -514,10 +575,11 @@ HEALTH = b'{"op":"health"}\n'
 BAD_CVAR = _decide_line("cvar", slot_length=0.0833)
 
 #: Frames the fuzzer strings together: a valid decide of every kind (one
-#: off the table grid), the introspection ops, three malformed lines, two
-#: decides the daemon rejects (one at another slot length, one with an
-#: integer too large for a float), a blank and a CRLF line, and raw
-#: multi-byte UTF-8 for a cut to split.
+#: off the table grid), the introspection ops, three malformed lines,
+#: three decides the daemon rejects (one at another slot length, one with
+#: an integer too large for a float, and one whose ``instance_type``,
+#: raw multi-byte UTF-8 for a cut to split, names another market than
+#: the served r3.xlarge), a blank and a CRLF line.
 FRAMES = [
     *(_decide_line(strategy.value) for strategy in Strategy),
     _decide_line("persistent", execution_time=1.5),
