@@ -84,7 +84,6 @@ from .resilience import (
     ChaosReport,
     FaultInjector,
     FaultSpec,
-    FaultyPriceSource,
     PricePlateau,
     PriceSpike,
     RevocationStorm,
@@ -157,7 +156,6 @@ __all__ = [
     "ChaosReport",
     "FaultInjector",
     "FaultSpec",
-    "FaultyPriceSource",
     "ItemFailure",
     "PricePlateau",
     "PriceSpike",

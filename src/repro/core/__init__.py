@@ -47,8 +47,6 @@ from .types import (
     DecisionResponse,
     DegradedDecision,
     BidKind,
-    CompletionStats,
-    CostBreakdown,
     JobSpec,
     MapReduceJobSpec,
     MapReducePlan,
@@ -88,8 +86,6 @@ __all__ = [
     "DecisionResponse",
     "DegradedDecision",
     "BidKind",
-    "CompletionStats",
-    "CostBreakdown",
     "JobSpec",
     "MapReduceJobSpec",
     "MapReducePlan",

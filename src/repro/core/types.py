@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..constants import DEFAULT_SLOT_HOURS
@@ -513,45 +513,3 @@ class MapReducePlan:
             raise PlanError("slave nodes must use persistent requests (Section 6.2)")
         if self.min_slaves < 1:
             raise PlanError(f"min_slaves must be >= 1, got {self.min_slaves}")
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Dollar cost of a completed (or abandoned) job, split by component."""
-
-    running_cost: float = 0.0
-    recovery_cost: float = 0.0
-    overhead_cost: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.running_cost + self.recovery_cost + self.overhead_cost
-
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            running_cost=self.running_cost + other.running_cost,
-            recovery_cost=self.recovery_cost + other.recovery_cost,
-            overhead_cost=self.overhead_cost + other.overhead_cost,
-        )
-
-
-@dataclass
-class CompletionStats:
-    """Observed statistics for one simulated job run (Section 7 metrics)."""
-
-    completion_time: float = 0.0
-    running_time: float = 0.0
-    idle_time: float = 0.0
-    interruptions: int = 0
-    cost: float = 0.0
-    completed: bool = False
-    #: Mean price charged per running hour; 0 when the job never ran.
-    charged_price_per_hour: float = field(init=False, default=0.0)
-
-    def finalize(self) -> "CompletionStats":
-        """Derive dependent fields; call once the run is over."""
-        if self.running_time > 0:
-            self.charged_price_per_hour = self.cost / self.running_time
-        else:
-            self.charged_price_per_hour = 0.0
-        return self

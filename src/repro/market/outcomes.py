@@ -11,7 +11,6 @@ is that common record, so results from any backend are interchangeable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["OutcomeStats"]
@@ -40,8 +39,3 @@ class OutcomeStats:
         if self.running_time <= 0.0:
             return 0.0
         return self.cost / self.running_time
-
-    @property
-    def wall_clock_time(self) -> float:
-        """Completion time when completed, NaN otherwise (alias helper)."""
-        return self.completion_time if self.completed else math.nan

@@ -123,9 +123,3 @@ class SpotRequest:
         if self.completed_at is None:
             return None
         return self.completed_at - self.submitted_slot * slot_length
-
-    def charged_price_per_hour(self) -> float:
-        """Mean $/hour paid over the request's running time (0 if never ran)."""
-        if self.running_hours <= 0.0:
-            return 0.0
-        return self.cost / self.running_hours

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..constants import DEFAULT_SLOT_HOURS
-from ..core.types import BidKind, CompletionStats
+from ..core.types import BidKind
 from ..errors import MarketError
 from .billing import BillingPolicy, PerSlotBilling
 from .events import EventKind, EventLog, MarketEvent
@@ -62,12 +62,6 @@ class JobOutcome:
     def completed(self) -> bool:
         return self.state is RequestState.COMPLETED
 
-    @property
-    def charged_price_per_hour(self) -> float:
-        if self.running_time <= 0.0:
-            return 0.0
-        return self.cost / self.running_time
-
     def to_stats(self) -> OutcomeStats:
         """Project onto the backend-independent
         :class:`~repro.market.outcomes.OutcomeStats` record (the type the
@@ -83,18 +77,6 @@ class JobOutcome:
             recovery_time_used=self.recovery_time_used,
             interruptions=self.interruptions,
         )
-
-    def stats(self) -> CompletionStats:
-        """Convert to the mutable :class:`CompletionStats` used by
-        aggregate experiment reports."""
-        return CompletionStats(
-            completion_time=self.completion_time or math.nan,
-            running_time=self.running_time,
-            idle_time=self.idle_time,
-            interruptions=self.interruptions,
-            cost=self.cost,
-            completed=self.completed,
-        ).finalize()
 
 
 class SpotMarket:

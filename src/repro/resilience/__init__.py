@@ -6,8 +6,8 @@ uninterrupted backtest loop.  This package drops both assumptions:
 * :mod:`repro.resilience.faults` — seeded, declarative
   :class:`FaultSpec` perturbations (price spikes, plateaus, missing and
   duplicated slots, revocation storms, truncation) composed by a
-  :class:`FaultInjector` that rewrites recorded traces or wraps a live
-  market's price source.
+  :class:`FaultInjector` that rewrites a price trace; a live feed
+  replays the rewritten trace.
 * :mod:`repro.resilience.chaos` — the ``repro-bid chaos`` harness:
   backtest one bid under every fault class and report cost/completion
   degradation relative to the clean run, and (``--kill-workers``) run a
@@ -29,7 +29,6 @@ from .chaos import (
 from .faults import (
     FaultInjector,
     FaultSpec,
-    FaultyPriceSource,
     PricePlateau,
     PriceSpike,
     RevocationStorm,
@@ -45,7 +44,6 @@ __all__ = [
     "FaultClassResult",
     "FaultInjector",
     "FaultSpec",
-    "FaultyPriceSource",
     "MapReduceChaosReport",
     "MapReduceFaultClassResult",
     "PricePlateau",

@@ -271,9 +271,9 @@ def run_chaos(
 class MapReduceFaultClassResult:
     """One fault class versus the clean MapReduce baseline.
 
-    Master and slave markets are degraded *independently* (each class
-    derives two injectors from the root seed), matching the dual-market
-    runner's fault hooks.
+    Master and slave markets are degraded *independently*: each class
+    derives two injectors from the root seed and perturbs the master
+    and slave traces before the plan runs on them.
     """
 
     name: str

@@ -1,4 +1,4 @@
-"""Seeded, declarative fault injection for spot-price traces and markets.
+"""Seeded, declarative fault injection for spot-price traces.
 
 A :class:`FaultSpec` declares one perturbation of a price series —
 *what* goes wrong, parameterized but with no randomness of its own.  A
@@ -7,16 +7,13 @@ generator per spec from a single seed, so a given ``(specs, seed)`` pair
 always produces the same degraded market, which keeps chaos experiments
 reproducible.
 
-Two application paths share the same plans:
-
-* **Recorded traces** — :meth:`FaultInjector.perturb_history` rewrites a
-  :class:`~repro.traces.history.SpotPriceHistory` (specs are applied in
-  sequence, each seeing the previous spec's output).
-* **Live markets** — :class:`FaultyPriceSource` wraps any
-  :class:`~repro.market.price_sources.PriceSource` and perturbs slots as
-  they stream out, so a running :class:`~repro.market.simulator.SpotMarket`
-  (or the MapReduce runner's master/slave markets) can be degraded
-  without materializing the whole future.
+Faults enter a market one way: :meth:`FaultInjector.perturb_prices` (or
+:meth:`~FaultInjector.perturb_history`, which keeps the trace's
+metadata) rewrites the prices, applying the specs in sequence so each
+sees the previous spec's output.  A backtest sweeps or runs the
+perturbed trace; a live feed replays it, as
+``TracePriceSource(injector.perturb_history(trace))``, so the feed and
+the backtest see the same prices.
 """
 
 from __future__ import annotations
@@ -24,12 +21,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import FaultError, MarketError
-from ..market.price_sources import PriceSource
+from ..errors import FaultError
 from ..traces.history import SpotPriceHistory
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "RevocationStorm",
     "TraceTruncation",
     "FaultInjector",
-    "FaultyPriceSource",
     "WorkerFaultPlan",
     "WorkerFaults",
 ]
@@ -52,8 +47,7 @@ __all__ = [
 class FaultPlan:
     """A spec's fully-sampled decision for an ``n_slots``-long series.
 
-    Plans are pure data so the trace path and the streaming path apply
-    the *same* sampled fault: per-slot multiplicative factors, per-slot
+    Plans are pure data: per-slot multiplicative factors, per-slot
     absolute overrides (NaN means "leave the price alone"), per-slot
     emission counts (0 drops a slot, 2 duplicates it), and an optional
     cap on how many slots are emitted at all.
@@ -264,7 +258,7 @@ class FaultInjector:
     specs:
         The perturbations, applied in order.
     seed:
-        Root seed.  Spec ``i`` draws from
+        Root seed, non-negative.  Spec ``i`` draws from
         ``np.random.default_rng([seed, i])``, so adding or reordering
         specs never silently reshuffles another spec's randomness.
     """
@@ -276,6 +270,8 @@ class FaultInjector:
                 raise FaultError(f"not a FaultSpec: {spec!r}")
         if not specs:
             raise FaultError("need at least one FaultSpec")
+        if seed < 0:
+            raise FaultError(f"seed must be non-negative, got {seed!r}")
         self.specs: Tuple[FaultSpec, ...] = specs
         self.seed = int(seed)
         self._prefix: Tuple[int, ...] = (self.seed,)
@@ -291,6 +287,8 @@ class FaultInjector:
         run) its own randomness while staying a pure function of the
         root seed.
         """
+        if index < 0:
+            raise FaultError(f"index must be non-negative, got {index!r}")
         child = FaultInjector(self.specs, seed=self.seed)
         child._prefix = self._prefix + (int(index),)
         return child
@@ -317,13 +315,6 @@ class FaultInjector:
             start_hour=history.start_hour,
             instance_type=history.instance_type,
         )
-
-    # -- live markets ------------------------------------------------------
-    def price_source(
-        self, source: PriceSource, *, horizon: Optional[int] = None
-    ) -> "FaultyPriceSource":
-        """Wrap a live price source; see :class:`FaultyPriceSource`."""
-        return FaultyPriceSource(source, self, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -435,79 +426,3 @@ class WorkerFaults:
             stall_on_shard=stall_pos if stall_u < self.stall_rate else None,
             stall_seconds=self.stall_seconds,
         )
-
-
-class FaultyPriceSource(PriceSource):
-    """A :class:`PriceSource` decorator that perturbs slots as they stream.
-
-    All specs sample their plans over the same underlying horizon (the
-    wrapped source's remaining slots, or ``horizon`` for unbounded
-    sources) and are applied jointly per slot: price transforms in spec
-    order, then the product of the specs' emission counts decides
-    whether the slot is dropped, passed through, or repeated.
-    Truncation caps the number of *emitted* slots, after which the
-    source reports itself exhausted like a spent trace.
-    """
-
-    def __init__(
-        self,
-        source: PriceSource,
-        injector: FaultInjector,
-        *,
-        horizon: Optional[int] = None,
-    ):
-        n = source.remaining_slots()
-        if n is None:
-            n = horizon
-        if n is None:
-            raise FaultError(
-                "wrapping an unbounded price source needs an explicit horizon"
-            )
-        if n < 1:
-            raise FaultError(f"horizon must be >= 1, got {n!r}")
-        self._source = source
-        self._plans = [
-            spec.plan(injector.spec_rng(i), n)
-            for i, spec in enumerate(injector.specs)
-        ]
-        self._horizon = n
-        self._counts = np.ones(n, dtype=np.int64)
-        for plan in self._plans:
-            if plan.emit_counts is not None:
-                self._counts *= plan.emit_counts
-        caps = [p.max_emitted for p in self._plans if p.max_emitted is not None]
-        self._max_emitted: Optional[int] = min(caps) if caps else None
-        self._cursor = 0
-        self._emitted = 0
-        self._pending: List[float] = []
-
-    def next_price(self) -> float:
-        if self._max_emitted is not None and self._emitted >= self._max_emitted:
-            raise MarketError(
-                f"fault-injected price source truncated after "
-                f"{self._emitted} slots"
-            )
-        while not self._pending:
-            if self._cursor >= self._horizon:
-                raise MarketError(
-                    f"fault-injected price source exhausted after "
-                    f"{self._emitted} slots"
-                )
-            price = self._source.next_price()
-            for plan in self._plans:
-                if plan.multiplier is not None:
-                    price *= float(plan.multiplier[self._cursor])
-                if plan.override is not None:
-                    override = float(plan.override[self._cursor])
-                    if not math.isnan(override):
-                        price = override
-            self._pending.extend([price] * int(self._counts[self._cursor]))
-            self._cursor += 1
-        self._emitted += 1
-        return self._pending.pop(0)
-
-    def remaining_slots(self) -> int:
-        left = int(self._counts[self._cursor :].sum()) + len(self._pending)
-        if self._max_emitted is not None:
-            left = min(left, self._max_emitted - self._emitted)
-        return max(0, left)

@@ -2,8 +2,11 @@
 
 :class:`MarketState` is the synchronous core — a rolling price window fed
 one slot at a time from any :class:`~repro.market.price_sources.PriceSource`
-(replayed traces, IID draws from a fitted distribution, or a
-fault-injecting :class:`~repro.resilience.faults.FaultyPriceSource`).
+(replayed traces or IID draws from a fitted distribution).  A faulty
+feed is a replayed trace that
+:meth:`~repro.resilience.faults.FaultInjector.perturb_history` rewrote,
+``TracePriceSource(injector.perturb_history(trace))``; the state ingests
+exactly the prices a backtest of that trace would see.
 Every ``rebuild_every`` ingested slots it recomputes the bid tables from
 the current window and *publishes* the new generation with a single
 attribute assignment, so readers on the request hot path never block and
@@ -91,7 +94,6 @@ class MarketState:
             float(p) for p in initial_history.prices[-window_slots:]
         ]
         self.slots_ingested: int = 0
-        self._rebuilt_at: int = 0
         self.faulted: bool = False
         self.fault_reason: Optional[str] = None
         self._tables: BidTableSet = self.build_snapshot(generation=0)
@@ -163,7 +165,9 @@ class MarketState:
 
     def rebuild_due(self) -> bool:
         """Whether enough slots arrived since the last published rebuild."""
-        return self.slots_ingested - self._rebuilt_at >= self._rebuild_every
+        return (
+            self.slots_ingested - self._tables.built_at_slot >= self._rebuild_every
+        )
 
     def build_snapshot(self, *, generation: Optional[int] = None) -> BidTableSet:
         """Build (but do not publish) a table set from the current window.
@@ -184,7 +188,6 @@ class MarketState:
     def publish(self, tables: BidTableSet) -> None:
         """Swap in a new generation (single atomic assignment)."""
         self._tables = tables
-        self._rebuilt_at = tables.built_at_slot
 
     def rebuild(self) -> BidTableSet:
         """Synchronous build-and-publish; returns the new generation."""

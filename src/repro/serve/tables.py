@@ -4,8 +4,9 @@ The paper's optimizers (Props. 4–5, the percentile heuristic) depend only
 on the empirical price distribution and the job parameters, so their
 answers can be *precomputed*: a :class:`BidTable` evaluates the unified
 :meth:`~repro.core.client.BiddingClient.respond` path over an inverse-CDF
-grid of job-parameter buckets and freezes the resulting decisions into an
-immutable artifact stamped with a content-addressed version.
+grid of job-parameter buckets and freezes the resulting decisions, and a
+:class:`BidTableSet` holds one generation of tables, stamped with a
+content-addressed version.
 
 Serving then reduces to a grid lookup:
 
@@ -204,11 +205,7 @@ class BidTable:
     fallback rather than holes.
     """
 
-    version: str
     strategy: Strategy
-    ondemand_price: float
-    slot_length: float
-    built_at_slot: int
     grid: TableGrid
     decisions: Tuple[BidDecision, ...]
 
@@ -224,20 +221,6 @@ class BidTable:
         """The stored decision for grid indices ``(i, j)``."""
         return self.decisions[i * len(self.grid.recovery_times) + j]
 
-    def lookup(self, job: JobSpec) -> BidDecision:
-        """The stored decision at the grid point nearest to ``job``.
-
-        Bitwise-identical to the client's answer when ``job`` sits on a
-        grid point; raises :class:`~repro.errors.ServeError` outside the
-        grid's coverage.
-        """
-        if job.slot_length != self.slot_length:
-            raise ServeError(
-                f"job slot length {job.slot_length!r} differs from the "
-                f"table's {self.slot_length!r}"
-            )
-        return self.decision_at(*self.grid.snap(job))
-
     def interpolation_error_bound(self, job: JobSpec) -> float:
         """Upper bound on the served bid-price error for ``job``.
 
@@ -252,22 +235,23 @@ class BidTable:
         prices = [self.decision_at(i, j).price for (i, j) in corners]
         return max(prices) - min(prices)
 
-    def age(self, current_slot: int) -> int:
-        """Ingest slots elapsed since this table was built."""
-        return max(0, current_slot - self.built_at_slot)
-
 
 def _table_version(
     history: SpotPriceHistory,
-    strategy: Strategy,
     grid: TableGrid,
     ondemand_price: float,
     built_at_slot: int,
 ) -> str:
+    """The content-addressed version of one table generation.
+
+    The hash covers the price window, the grid, the on-demand price and
+    the slot length.  It also covers the name ``persistent``, so that
+    versions the file cache tier persisted keep matching.
+    """
     digest = hashlib.sha1()
     digest.update(np.ascontiguousarray(history.prices, dtype=float).tobytes())
     digest.update(grid.fingerprint())
-    digest.update(strategy.value.encode())
+    digest.update(Strategy.PERSISTENT.value.encode())
     digest.update(repr((float(ondemand_price), float(history.slot_length))).encode())
     return f"{digest.hexdigest()[:12]}.g{built_at_slot}"
 
@@ -278,7 +262,6 @@ def build_bid_table(
     ondemand_price: float,
     strategy: Strategy,
     grid: Optional[TableGrid] = None,
-    built_at_slot: int = 0,
     client: Optional[BiddingClient] = None,
 ) -> BidTable:
     """Evaluate ``strategy`` over ``grid`` and freeze the decisions.
@@ -304,21 +287,15 @@ def build_bid_table(
                 DecisionRequest(job=job, strategy=strategy, degrade=True)
             )
             decisions.append(response.decision)
-    return BidTable(
-        version=_table_version(history, strategy, grid, ondemand_price, built_at_slot),
-        strategy=strategy,
-        ondemand_price=float(ondemand_price),
-        slot_length=float(history.slot_length),
-        built_at_slot=int(built_at_slot),
-        grid=grid,
-        decisions=tuple(decisions),
-    )
+    return BidTable(strategy=strategy, grid=grid, decisions=tuple(decisions))
 
 
 @dataclass(frozen=True)
 class BidTableSet:
     """One generation of tables for a market, plus the builder client.
 
+    The generation's provenance (its version, build slot and instance
+    type) lives here; each :class:`BidTable` holds only its decisions.
     The set keeps the :class:`~repro.core.client.BiddingClient` it was
     built from so non-tabled strategies (``PERCENTILE``) and off-grid
     jobs are answered by the *same* distribution snapshot the tables were
@@ -370,7 +347,7 @@ class BidTableSet:
         """
         table = self.table_for(request)
         if table is not None:
-            decision = table.lookup(request.job)
+            decision = table.decision_at(*table.grid.snap(request.job))
             reason = getattr(decision, "reason", None)
             return DecisionResponse(
                 decision=decision,
@@ -406,16 +383,12 @@ def build_table_set(
             ondemand_price=ondemand_price,
             strategy=strategy,
             grid=grid,
-            built_at_slot=built_at_slot,
             client=client,
         )
         for strategy in strategies
     }
-    version = _table_version(
-        history, Strategy.PERSISTENT, grid, ondemand_price, built_at_slot
-    )
     return BidTableSet(
-        version=version,
+        version=_table_version(history, grid, ondemand_price, built_at_slot),
         generation=int(generation),
         built_at_slot=int(built_at_slot),
         instance_type=history.instance_type,

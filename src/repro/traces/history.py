@@ -116,19 +116,17 @@ class SpotPriceHistory:
         return self.slice_slots(0, idx), self.slice_slots(idx, self.n_slots)
 
     # -- statistics ---------------------------------------------------------
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile price, ``q`` in [0, 100]."""
-        if not 0.0 <= q <= 100.0:
-            raise TraceError(f"percentile must be in [0, 100], got {q!r}")
-        return float(np.percentile(self.prices, q))
-
     def mean(self) -> float:
         return float(self.prices.mean())
 
     def to_distribution(
         self, *, upper: Optional[float] = None
     ) -> EmpiricalPriceDistribution:
-        """The ECDF of this trace — what the bidding client feeds Prop. 4/5."""
+        """The ECDF of this trace — what the bidding client feeds Prop. 4/5.
+
+        Its ``percentile(q)`` is the trace's ``q``-th percentile price,
+        the quantile the §7.1 percentile heuristic bids.
+        """
         return EmpiricalPriceDistribution(self.prices, upper=upper)
 
     def day_night_split(

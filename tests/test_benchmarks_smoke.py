@@ -1,10 +1,10 @@
 """Tier-1 smoke coverage for the benchmark suite.
 
-The benchmarks only run in full under ``pytest benchmarks/``, which CI
-treats as optional; this module keeps two cheap guarantees inside the
-default test run: every benchmark still *collects* (imports resolve,
-fixtures exist), and the sweep engine the benchmarks lean on still
-reproduces a small fixed-seed result.
+The benchmarks run in full under ``pytest benchmarks/``, a CI step of
+its own; this module keeps two cheap guarantees inside the default test
+run: every benchmark still *collects* (imports resolve, fixtures
+exist), and the sweep engine the benchmarks lean on still reproduces a
+small fixed-seed result.
 """
 
 import os

@@ -309,6 +309,14 @@ class TestChaosCommand:
         assert main(["chaos", str(trace_file), "--split", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mapreduce", [[], ["--mapreduce"]])
+    def test_negative_seed_fails_cleanly(self, trace_file, capsys, mapreduce):
+        argv = ["chaos", str(trace_file), "--seed", "-1", "--starts", "2"]
+        assert main(argv + mapreduce) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative")
+        assert "Traceback" not in err
+
     def test_unknown_class_rejected_by_argparse(self, trace_file, capsys):
         with pytest.raises(SystemExit):
             main(["chaos", str(trace_file), "--classes", "gremlin"])

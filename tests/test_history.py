@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_SLOT_HOURS
-from repro.errors import TraceError
+from repro.errors import DistributionError, TraceError
 from repro.traces.history import SpotPriceHistory
 
 
@@ -82,11 +82,14 @@ class TestSlicing:
 
 class TestStatistics:
     def test_percentile_and_mean(self, history):
-        assert math.isclose(history.percentile(0.0), 0.03)
-        assert math.isclose(history.percentile(100.0), 0.05)
+        # A trace's percentile is its ECDF's, the observed price the
+        # §7.1 heuristic bids.
+        dist = history.to_distribution()
+        assert dist.percentile(0.0) == 0.03
+        assert dist.percentile(100.0) == 0.05
         assert math.isclose(history.mean(), history.prices.mean())
-        with pytest.raises(TraceError):
-            history.percentile(101)
+        with pytest.raises(DistributionError):
+            dist.percentile(101)
 
     def test_to_distribution(self, history):
         dist = history.to_distribution()

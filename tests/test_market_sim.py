@@ -56,8 +56,20 @@ class TestSubmitAndStep:
         assert math.isclose(outcome.completion_time, 0.5)
         assert outcome.idle_time == 0.0
         assert outcome.interruptions == 0
-        assert math.isclose(outcome.charged_price_per_hour, 0.03)
-        assert outcome.stats().completed
+        stats = outcome.to_stats()
+        assert stats.completed
+        assert math.isclose(stats.charged_price_per_hour, 0.03)
+
+    def test_charged_price_is_zero_when_the_job_never_ran(self):
+        market = flat_market(price=0.03)
+        rid = market.submit(bid_price=0.02, work=1.0, kind=BidKind.PERSISTENT)
+        for _ in range(5):
+            market.step()
+        market.cancel(rid)
+        stats = market.outcome(rid).to_stats()
+        assert not stats.completed
+        assert stats.running_time == 0.0
+        assert stats.charged_price_per_hour == 0.0
 
     def test_outcomes_in_submission_order(self):
         market = flat_market()

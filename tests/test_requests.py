@@ -60,10 +60,3 @@ class TestSpotRequest:
         assert r.completion_time(1.0 / 12.0) is None
         r.completed_at = 2.0
         assert math.isclose(r.completion_time(1.0 / 12.0), 1.0)
-
-    def test_charged_price_per_hour(self):
-        r = self._request()
-        assert r.charged_price_per_hour() == 0.0
-        r.running_hours = 2.0
-        r.billing.on_usage(0.05, 2.0)
-        assert math.isclose(r.charged_price_per_hour(), 0.05)

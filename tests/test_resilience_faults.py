@@ -1,16 +1,14 @@
-"""Fault injection: specs, plans, injectors, and the streaming source."""
-
-import math
+"""Fault injection: specs, plans, injectors, and the perturbed-trace contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import FaultError, MarketError
-from repro.market.price_sources import TracePriceSource
+from repro.errors import FaultError, ReproError
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
-    FaultyPriceSource,
     PricePlateau,
     PriceSpike,
     RevocationStorm,
@@ -120,6 +118,12 @@ class TestFaultInjector:
         with pytest.raises(FaultError, match="not a FaultSpec"):
             FaultInjector(["spike"])
 
+    def test_negative_seed_and_index_rejected(self):
+        with pytest.raises(FaultError, match="seed"):
+            FaultInjector([PriceSpike()], seed=-1)
+        with pytest.raises(FaultError, match="index"):
+            FaultInjector([PriceSpike()], seed=0).derive(-1)
+
     def test_same_seed_same_output(self, prices):
         a = FaultInjector([PriceSpike(rate=0.1), SlotDropout()], seed=7)
         b = FaultInjector([PriceSpike(rate=0.1), SlotDropout()], seed=7)
@@ -159,63 +163,66 @@ class TestFaultInjector:
             injector.perturb_prices(np.array([]))
 
 
-class TestFaultyPriceSource:
-    def _drain(self, source):
-        out = []
-        while True:
-            try:
-                out.append(source.next_price())
-            except MarketError:
-                return np.asarray(out)
+_rates = st.floats(0.0, 1.0)
+_positive = st.floats(
+    min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False
+)
+_counts = st.integers(1, 300)
 
-    def test_streaming_matches_offline_rewrite(self, prices):
-        # Price-transform faults (no resizing) must agree exactly between
-        # the trace-rewrite path and the streaming path.
-        specs = [
-            PriceSpike(rate=0.1, magnitude=3.0),
-            PricePlateau(level=0.5, duration_slots=30),
-        ]
-        history = SpotPriceHistory(prices=prices)
-        injector = FaultInjector(specs, seed=11)
-        offline = injector.perturb_prices(prices)
-        streamed = self._drain(
-            injector.price_source(TracePriceSource(history))
-        )
-        assert (streamed == offline).all()
+#: Each of the six spec classes over its whole valid parameter range; a
+#: ``PriceSpike`` magnitude may overflow a price to infinity.
+_specs = st.one_of(
+    st.builds(PriceSpike, rate=_rates, magnitude=_positive, width=_counts),
+    st.builds(
+        PricePlateau,
+        level=_positive,
+        duration_slots=_counts,
+        start_slot=st.none() | st.integers(0, 300),
+    ),
+    st.builds(SlotDropout, rate=_rates),
+    st.builds(SlotDuplication, rate=_rates),
+    st.builds(RevocationStorm, level=_positive, bursts=_counts, burst_slots=_counts),
+    st.builds(
+        TraceTruncation,
+        fraction=st.floats(0.0, 1.0, exclude_min=True),
+    ),
+)
 
-    def test_dropout_and_duplication_resize_the_stream(self, prices):
-        history = SpotPriceHistory(prices=prices)
-        dup = FaultInjector([SlotDuplication(rate=0.2)], seed=5)
-        streamed = self._drain(dup.price_source(TracePriceSource(history)))
-        assert streamed.size > prices.size
+_traces = st.builds(
+    SpotPriceHistory,
+    prices=st.lists(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=200,
+    ).map(np.asarray),
+    slot_length=_positive,
+    start_hour=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    instance_type=st.none() | st.text(max_size=12),
+)
 
-    def test_truncation_raises_market_error(self, prices):
-        history = SpotPriceHistory(prices=prices)
-        injector = FaultInjector([TraceTruncation(fraction=0.1)], seed=0)
-        source = injector.price_source(TracePriceSource(history))
-        for _ in range(prices.size // 10):
-            source.next_price()
-        with pytest.raises(MarketError, match="truncated"):
-            source.next_price()
 
-    def test_unbounded_source_needs_horizon(self):
-        class Endless:
-            def next_price(self):
-                return 0.05  # pragma: no cover - never reached
+class TestPerturbHistoryContract:
+    """The one way faults enter a market: any valid suite, seed and trace
+    yields a valid trace with the input's metadata, or a ``ReproError``."""
 
-            def remaining_slots(self):
-                return None
-
-        injector = FaultInjector([PriceSpike()], seed=0)
-        with pytest.raises(FaultError, match="horizon"):
-            injector.price_source(Endless())
-        wrapped = injector.price_source(Endless(), horizon=10)
-        assert wrapped.remaining_slots() == 10
-
-    def test_remaining_slots_counts_down(self, prices):
-        history = SpotPriceHistory(prices=prices[:20])
-        injector = FaultInjector([PriceSpike(rate=0.0)], seed=0)
-        source = injector.price_source(TracePriceSource(history))
-        assert source.remaining_slots() == 20
-        source.next_price()
-        assert source.remaining_slots() == 19
+    @settings(max_examples=300, deadline=None)
+    @given(
+        specs=st.lists(_specs, min_size=1, max_size=6),
+        seed=st.integers(-(2**70), 2**70),
+        trace=_traces,
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_returns_a_valid_trace_or_raises_a_repro_error(
+        self, specs, seed, trace
+    ):
+        try:
+            out = FaultInjector(specs, seed=seed).perturb_history(trace)
+        except ReproError:
+            return
+        assert isinstance(out, SpotPriceHistory)
+        assert out.n_slots >= 1
+        assert np.all(np.isfinite(out.prices)) and np.all(out.prices >= 0.0)
+        assert out.slot_length == trace.slot_length
+        assert out.start_hour == trace.start_hour
+        assert out.instance_type == trace.instance_type

@@ -8,6 +8,12 @@ import pytest
 from repro.core.types import DecisionRequest, JobSpec, Strategy
 from repro.errors import FaultError, MarketError, ServeError
 from repro.market.price_sources import PriceSource, TracePriceSource
+from repro.resilience.faults import (
+    FaultInjector,
+    PriceSpike,
+    SlotDropout,
+    TraceTruncation,
+)
 from repro.serve.ingest import IngestLoop, MarketState
 from repro.serve.service import BidService
 from repro.traces.history import SpotPriceHistory
@@ -117,6 +123,20 @@ class TestMarketState:
         state.rebuild()
         assert not state.rebuild_due()
 
+    def test_rebuild_due_counts_from_the_published_generation(
+        self, serve_history, serve_grid
+    ):
+        state = make_state(serve_history, serve_grid, rebuild_every=4)
+        state.advance(2)
+        snapshot = state.build_snapshot()
+        state.advance(3)
+        assert state.rebuild_due()  # five slots since generation 0
+        state.publish(snapshot)
+        assert snapshot.built_at_slot == 2
+        assert not state.rebuild_due()  # three slots since the snapshot
+        state.advance(1)
+        assert state.rebuild_due()
+
     def test_rebuild_bumps_generation_and_version(
         self, serve_history, serve_grid
     ):
@@ -175,6 +195,41 @@ class TestMarketState:
             make_state(serve_history, serve_grid, window_slots=1)
         with pytest.raises(ServeError):
             make_state(serve_history, serve_grid, rebuild_every=0)
+
+
+class TestFaultInjectedFeed:
+    """A faulty live feed replays the trace the fault injector rewrote,
+    so the market ingests exactly the prices a backtest of it sees."""
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_ingests_exactly_the_perturbed_prices(
+        self, serve_history, serve_grid, seed
+    ):
+        injector = FaultInjector(
+            [SlotDropout(rate=0.3), PriceSpike(rate=0.2)], seed=seed
+        )
+        expected = injector.perturb_prices(serve_history.prices)
+        feed = TracePriceSource(injector.perturb_history(serve_history))
+        state = make_state(serve_history, serve_grid, source=feed)
+        assert state.advance(serve_history.n_slots) == expected.size
+        np.testing.assert_array_equal(
+            state.history().prices[-expected.size :], expected
+        )
+        assert state.faulted  # the replay ran out, like any spent trace
+
+    def test_truncated_feed_answers_the_on_demand_fallback(
+        self, serve_history, serve_grid
+    ):
+        injector = FaultInjector([TraceTruncation(fraction=0.1)], seed=0)
+        feed = TracePriceSource(injector.perturb_history(serve_history))
+        state = make_state(serve_history, serve_grid, source=feed)
+        service = BidService(state, stale_after=10**6)
+        assert state.advance(serve_history.n_slots) == serve_history.n_slots // 10
+        assert state.faulted
+        response = decide(service, serve_history, serve_grid)
+        assert response.decision.degraded
+        assert response.decision.price == ONDEMAND
+        assert response.degradation_reason.startswith("market faulted: ")
 
 
 class TestIngestLoop:

@@ -1,5 +1,6 @@
 """Bid tables: grid semantics, bitwise parity, interpolation bounds."""
 
+import hashlib
 import json
 import math
 
@@ -67,7 +68,7 @@ class TestTableGrid:
 
 
 class TestDefaultGrid:
-    def test_shape_comes_from_the_env_registry(self):
+    def test_shape_is_the_module_default(self):
         from repro.serve.tables import DEFAULT_GRID_SHAPE
 
         assert default_grid().shape == DEFAULT_GRID_SHAPE == (32, 8)
@@ -109,7 +110,7 @@ class TestBidTableParity:
                 ).decision
                 # Dataclass equality compares every float with ``==`` —
                 # this asserts bitwise-identical decisions, not closeness.
-                assert table.lookup(job) == live
+                assert table.decision_at(*serve_grid.snap(job)) == live
 
     def test_parity_survives_a_json_round_trip(
         self, serve_history, serve_grid
@@ -172,7 +173,7 @@ class TestInterpolationBound:
                 recovery_time=float(rng.uniform(tr_lo, tr_hi)),
                 slot_length=serve_history.slot_length,
             )
-            served = table.lookup(job)
+            served = table.decision_at(*serve_grid.snap(job))
             live = client.respond(
                 DecisionRequest(
                     job=job, strategy=Strategy.ONE_TIME, degrade=True
@@ -206,27 +207,29 @@ class TestInterpolationBound:
 
 
 class TestBidTableLookupGuards:
+    """Finding the table for a request, and the generation's age."""
+
     def test_slot_length_mismatch_rejected(self, serve_history, serve_grid):
-        table = build_bid_table(
-            serve_history,
-            ondemand_price=ONDEMAND,
-            strategy=Strategy.PERSISTENT,
-            grid=serve_grid,
+        table_set = build_table_set(
+            serve_history, ondemand_price=ONDEMAND, grid=serve_grid
         )
-        with pytest.raises(ServeError):
-            table.lookup(JobSpec(execution_time=1.0, slot_length=0.25))
+        request = DecisionRequest(
+            job=JobSpec(execution_time=1.0, slot_length=0.25),
+            strategy=Strategy.PERSISTENT,
+        )
+        with pytest.raises(ServeError, match="0.25"):
+            table_set.table_for(request)
 
     def test_age_counts_ingest_slots(self, serve_history, serve_grid):
-        table = build_bid_table(
+        table_set = build_table_set(
             serve_history,
             ondemand_price=ONDEMAND,
-            strategy=Strategy.PERSISTENT,
             grid=serve_grid,
             built_at_slot=10,
         )
-        assert table.age(10) == 0
-        assert table.age(25) == 15
-        assert table.age(3) == 0  # never negative
+        assert table_set.age(10) == 0
+        assert table_set.age(25) == 15
+        assert table_set.age(3) == 0  # never negative
 
 
 class TestBidTableSet:
@@ -334,3 +337,68 @@ class TestBidTableSet:
             built_at_slot=42,
         )
         assert late.version.endswith(".g42")
+
+
+class TestServedBytes:
+    """The versions and answers the tables serve, pinned byte for byte.
+
+    The file cache tier persists ``table_version`` across restarts, and
+    a client compares it with the daemon's banner, so a change to the
+    version hash or to any answer must show here first.
+    """
+
+    def test_versions_are_pinned(self, serve_history, serve_grid):
+        def version(built_at_slot):
+            return build_table_set(
+                serve_history,
+                ondemand_price=ONDEMAND,
+                grid=serve_grid,
+                built_at_slot=built_at_slot,
+            ).version
+
+        assert version(0) == "91048ec2b2f4.g0"
+        assert version(42) == "91048ec2b2f4.g42"
+
+    def test_decide_answers_are_pinned(
+        self, pinned_numerics, serve_history, serve_grid
+    ):
+        """On-grid, off-grid and outside-coverage requests of both tabled
+        strategies, at an on-demand price that leaves them feasible and
+        at one below the price floor, where every answer is degraded."""
+        from repro.serve.protocol import encode_line, response_to_wire
+
+        jobs = [
+            (serve_grid.execution_times[2], serve_grid.recovery_times[1]),
+            (1.37, 0.01),
+            (100.0, 0.0),
+        ]
+        digest = hashlib.sha1()
+        tiers = []
+        for ondemand in (ONDEMAND, 0.03):
+            table_set = build_table_set(
+                serve_history,
+                ondemand_price=ondemand,
+                grid=serve_grid,
+                built_at_slot=7,
+                generation=1,
+            )
+            for strategy in (Strategy.ONE_TIME, Strategy.PERSISTENT):
+                for execution_time, recovery_time in jobs:
+                    job = JobSpec(
+                        execution_time=execution_time,
+                        recovery_time=recovery_time,
+                        slot_length=serve_history.slot_length,
+                    )
+                    response = table_set.decide(
+                        DecisionRequest(job=job, strategy=strategy, degrade=True)
+                    )
+                    tiers.append((response.cache_tier, response.decision.degraded))
+                    digest.update(encode_line(response_to_wire(response)))
+        # Every kind of answer the digest is meant to cover is in it.
+        feasible = [("table", False), ("table", False)]
+        assert tiers == (
+            feasible + [("compute", True)]  # one-time
+            + feasible + [("compute", False)]  # persistent
+            + [("table", True), ("table", True), ("compute", True)] * 2
+        )
+        assert digest.hexdigest() == "57c11d4e209392a6af7b8be5b8ce912cdafafabb"

@@ -9,8 +9,6 @@ from repro.constants import DEFAULT_SLOT_HOURS, seconds
 from repro.core.types import (
     BidDecision,
     BidKind,
-    CompletionStats,
-    CostBreakdown,
     JobSpec,
     MapReduceJobSpec,
     MapReducePlan,
@@ -161,25 +159,6 @@ class TestMapReducePlan:
                 required_master_time=1.0,
                 min_slaves=3,
             )
-
-
-class TestCostBreakdown:
-    def test_total_and_addition(self):
-        a = CostBreakdown(running_cost=1.0, recovery_cost=0.5)
-        b = CostBreakdown(overhead_cost=0.25)
-        total = a + b
-        assert math.isclose(total.total, 1.75)
-        assert math.isclose(a.total, 1.5)
-
-
-class TestCompletionStats:
-    def test_finalize_computes_charged_price(self):
-        stats = CompletionStats(running_time=2.0, cost=0.08).finalize()
-        assert math.isclose(stats.charged_price_per_hour, 0.04)
-
-    def test_finalize_handles_zero_running_time(self):
-        stats = CompletionStats().finalize()
-        assert stats.charged_price_per_hour == 0.0
 
 
 class TestNormalizeStrategy:
