@@ -29,6 +29,7 @@ from ..core.onetime import optimal_onetime_bid
 from ..core.persistent import optimal_persistent_bid
 from ..core.mapreduce import optimal_parallel_bid
 from ..core.types import BidKind, DecisionRequest, JobSpec, ParallelJobSpec, Strategy
+from ..errors import MarketError
 from ..extensions.correlated import lag1_price_persistence
 from ..market.price_sources import TracePriceSource
 from ..market.simulator import SpotMarket
@@ -430,7 +431,9 @@ def billing_comparison(
         )
         try:
             market.run_until_done(max_slots=future.n_slots)
-        except Exception:
+        except MarketError:
+            # Trace ran out with the job unfinished; it counts as not
+            # completed.
             pass
         outcome = market.outcome(rid)
         if outcome.completed:

@@ -43,7 +43,6 @@ __all__ = [
     "FULL_CONFIG",
     "history_trace",
     "future_trace",
-    "random_start_slot",
     "calm_start_slot",
     "format_table",
     "TABLE4_SETTINGS",
@@ -127,11 +126,6 @@ def future_trace(
         tail_episode_hours=config.tail_episode_hours,
         slot_length=config.slot_length,
     )
-
-
-def random_start_slot(rng: np.random.Generator) -> int:
-    """A uniformly random start within the first day of a future trace."""
-    return int(rng.integers(0, SLOTS_PER_DAY))
 
 
 def calm_start_slot(rng: np.random.Generator, future: SpotPriceHistory) -> int:

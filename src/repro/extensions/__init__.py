@@ -2,9 +2,12 @@
 correlated prices, collective (multi-user) bidding, dependent-task (DAG)
 bidding, and the portfolio / CVaR workloads built on top.
 
-Every extension's grid evaluation routes through the batched kernels in
+Extensions that scan a candidate grid (risk, checkpointing, collective,
+DAG, portfolio) evaluate it through the batched kernels in
 :mod:`repro.extensions.kernels`, each held bitwise equal to its retained
-scalar ``*_reference`` oracle by the tests and the bench.
+scalar ``*_reference`` oracle by the tests and the bench.  Lag-1
+persistence and spot-block pricing value one bid or one job and stay
+scalar.
 """
 
 from .collective import (
@@ -17,7 +20,6 @@ from .correlated import (
     autocorrelation,
     expected_interruptions_markov,
     interruption_reduction_factor,
-    lag1_persistence_grid,
     lag1_price_persistence,
 )
 from .checkpointing import (
@@ -29,18 +31,15 @@ from .checkpointing import (
 from .dag import (
     DagPlan,
     DagRunResult,
-    DagSweepReport,
     TaskGraph,
     plan_dag,
     run_dag_on_trace,
-    sweep_dag_plan,
 )
 from .forecasting import (
     Ar1Forecaster,
     EwmaForecaster,
     PriceForecaster,
     forecast_bid,
-    forecast_sweep,
 )
 from .kernels import extension_kernel_pair
 from .portfolio import (
@@ -51,7 +50,6 @@ from .portfolio import (
 )
 from .spot_blocks import (
     PurchasingOption,
-    block_cost_grid,
     block_price,
     compare_purchasing_options,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "autocorrelation",
     "expected_interruptions_markov",
     "interruption_reduction_factor",
-    "lag1_persistence_grid",
     "lag1_price_persistence",
     "CheckpointPlan",
     "CheckpointPolicy",
@@ -78,23 +75,19 @@ __all__ = [
     "optimize_checkpoint_interval",
     "DagPlan",
     "DagRunResult",
-    "DagSweepReport",
     "TaskGraph",
     "plan_dag",
     "run_dag_on_trace",
-    "sweep_dag_plan",
     "Ar1Forecaster",
     "EwmaForecaster",
     "PriceForecaster",
     "forecast_bid",
-    "forecast_sweep",
     "extension_kernel_pair",
     "cvar_bid",
     "cvar_from_costs",
     "optimal_portfolio_bid",
     "portfolio_frontier",
     "PurchasingOption",
-    "block_cost_grid",
     "block_price",
     "compare_purchasing_options",
     "conditional_price_variance",

@@ -79,25 +79,6 @@ class CollectiveOutcome:
         return self.rounds[-1].mean_price - self.rounds[0].mean_price
 
 
-def _accepted_fraction(
-    price: float,
-    strategic_bids: Sequence[float],
-    weights: Sequence[float],
-    background_weight: float,
-    pi_bar: float,
-    pi_min: float,
-) -> float:
-    """Fraction of submitted bids at or above ``price`` under the mixture
-    of strategic atoms and a uniform background (Section 4.1's f_p)."""
-    frac = background_weight * min(
-        max((pi_bar - price) / (pi_bar - pi_min), 0.0), 1.0
-    )
-    for bid, w in zip(strategic_bids, weights):
-        if bid >= price:
-            frac += w
-    return frac
-
-
 def _simulate_prices(
     strategic_bids: Sequence[float],
     weights: Sequence[float],

@@ -8,6 +8,9 @@ interrupted less often, leading to lower job running times and costs."
 This module provides the tooling to test that prediction:
 
 * :func:`autocorrelation` — sample ACF of a price trace.
+* :func:`lag1_price_persistence` — how often an accepted slot is
+  followed by another at a bid level: the ``rho`` the Markov model
+  below consumes.
 * :func:`expected_interruptions_markov` — expected interruption count for
   a persistent bid under a two-state Markov availability model with
   slot-to-slot persistence ``rho`` (``rho = 0`` recovers eq. 12).
@@ -22,20 +25,16 @@ predictions.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
 import numpy as np
 
 from ..core import costs
 from ..core.distributions import PriceDistribution
 from ..core.types import JobSpec
 from ..errors import DistributionError
-from .kernels import persistence_grid_kernel
 
 __all__ = [
     "autocorrelation",
     "lag1_price_persistence",
-    "lag1_persistence_grid",
     "expected_interruptions_markov",
     "interruption_reduction_factor",
 ]
@@ -83,45 +82,6 @@ def lag1_price_persistence(prices: np.ndarray, bid: float) -> float:
     if not prior.any():
         return 0.0
     return float(np.mean(accepted[1:][prior]))
-
-
-def lag1_persistence_grid(
-    traces: Union[np.ndarray, Sequence[np.ndarray]],
-    bids: Sequence[float],
-    *,
-    n_valid: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """:func:`lag1_price_persistence` batched over a trace × bid grid.
-
-    ``traces`` is either a sequence of 1-D price arrays (stacked into an
-    ``inf``-padded matrix, so ragged lengths are fine — padding is never
-    accepted by any bid) or an already-padded 2-D matrix with per-row
-    valid counts in ``n_valid``.  Returns the ``(n_traces, n_bids)``
-    persistence matrix the Markov interruption model consumes, evaluated
-    through the batched
-    :func:`~repro.extensions.kernels.persistence_grid_kernel`.
-    """
-    if isinstance(traces, np.ndarray) and traces.ndim == 2:
-        matrix = np.asarray(traces, dtype=float)
-        counts = None if n_valid is None else np.asarray(n_valid, dtype=np.int64)
-    else:
-        rows = [np.asarray(t, dtype=float) for t in traces]
-        if not rows:
-            raise DistributionError("need at least one trace")
-        for row in rows:
-            if row.ndim != 1 or row.size < 2:
-                raise DistributionError(
-                    "need a 1-D series with at least two prices"
-                )
-        width = max(row.size for row in rows)
-        matrix = np.full((len(rows), width), np.inf)
-        counts = np.empty(len(rows), dtype=np.int64)
-        for i, row in enumerate(rows):
-            matrix[i, : row.size] = row
-            counts[i] = row.size
-    return persistence_grid_kernel(
-        matrix, np.asarray(bids, dtype=float), counts
-    )["rho"]
 
 
 def expected_interruptions_markov(

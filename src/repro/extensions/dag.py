@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..core.persistent import (
     candidate_prices,
     optimal_persistent_bid,
 )
-from ..core.types import BidDecision, BidKind, JobSpec, Strategy
+from ..core.types import BidDecision, BidKind, JobSpec
 from ..core.distributions import PriceDistribution
 from ..errors import InfeasibleBidError, PlanError
 from ..market.price_sources import TracePriceSource
@@ -43,9 +43,7 @@ __all__ = [
     "TaskGraph",
     "DagPlan",
     "DagRunResult",
-    "DagSweepReport",
     "plan_dag",
-    "sweep_dag_plan",
     "run_dag_on_trace",
 ]
 
@@ -193,69 +191,6 @@ def plan_dag(dist: PriceDistribution, task_graph: TaskGraph) -> DagPlan:
         expected_finish=finish,
         expected_completion_time=max(finish.values()),
         expected_cost=sum(b.expected_cost for b in bids.values()),
-    )
-
-
-@dataclass(frozen=True)
-class DagSweepReport:
-    """Per-task sweep reports plus per-trace aggregates for a DAG plan
-    evaluated over a stack of future traces."""
-
-    #: Task name → :class:`~repro.sweep.report.SweepReport` of that
-    #: task's planned bid swept across the futures.
-    task_reports: Dict[str, object]
-    #: Per-trace total cost summed over all tasks.
-    total_cost: np.ndarray
-    #: Per-trace flag: every task completed within its trace window.
-    all_completed: np.ndarray
-
-
-def sweep_dag_plan(
-    plan: DagPlan,
-    task_graph: TaskGraph,
-    futures: object,
-    *,
-    start_slots: Union[int, Sequence[int]] = 0,
-) -> DagSweepReport:
-    """Score a DAG plan's bids against future traces on the sweep engine.
-
-    Each task's planned bid is evaluated across the whole trace stack in
-    one :func:`repro.sweep.engine.run_sweep` call (event-driven kernels,
-    shared distribution cache) — the
-    batched counterpart of looping :func:`run_dag_on_trace` over traces.
-    Sweeps treat tasks independently (each from its trace's start), so
-    the totals bound the staged protocol's cost from below; use
-    :func:`run_dag_on_trace` for the exact staged execution of a single
-    trace.
-    """
-    from ..sweep.engine import run_sweep
-
-    task_reports: Dict[str, object] = {}
-    total_cost: Optional[np.ndarray] = None
-    all_completed: Optional[np.ndarray] = None
-    for name, spec in task_graph.tasks.items():
-        report = run_sweep(
-            futures,
-            [plan.bids[name].price],
-            spec,
-            strategy=Strategy.PERSISTENT,
-            start_slots=start_slots,
-        )
-        task_reports[name] = report
-        cost = report.cost[:, 0]
-        completed = report.completed[:, 0]
-        total_cost = cost.copy() if total_cost is None else total_cost + cost
-        all_completed = (
-            completed.copy()
-            if all_completed is None
-            else all_completed & completed
-        )
-    if total_cost is None or all_completed is None:
-        raise PlanError("task graph has no tasks")
-    return DagSweepReport(
-        task_reports=task_reports,
-        total_cost=total_cost,
-        all_completed=all_completed,
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "EwmaForecaster",
     "Ar1Forecaster",
     "forecast_bid",
-    "forecast_sweep",
 ]
 
 
@@ -175,38 +174,3 @@ def forecast_bid(
     if strategy is Strategy.PERSISTENT:
         return optimal_persistent_bid(dist, job, ondemand_price=ondemand_price)
     raise ValueError(f"unsupported strategy {strategy!r} for forecast bidding")
-
-
-def forecast_sweep(
-    forecaster: PriceForecaster,
-    history: SpotPriceHistory,
-    job: JobSpec,
-    futures: "object",
-    *,
-    bids: Optional[Sequence[float]] = None,
-    strategy: Strategy = Strategy.PERSISTENT,
-    start_slots: "int | Sequence[int]" = 0,
-    ondemand_price: Optional[float] = None,
-):
-    """Choose a bid from the forecast, then score it on future traces
-    through the vectorized sweep engine.
-
-    Returns ``(decision, report)``: the forecast-optimal
-    :class:`~repro.core.types.BidDecision` and the
-    :class:`~repro.sweep.report.SweepReport` of sweeping ``bids``
-    (default: just the chosen price) across the ``futures`` trace stack
-    with :func:`repro.sweep.engine.run_sweep` — the same batched kernels
-    every other engine uses, so the forecasting ablation inherits their
-    bitwise-tested fast path.
-    """
-    from ..sweep.engine import run_sweep
-
-    strategy = normalize_strategy(strategy)
-    decision = forecast_bid(
-        forecaster, history, job, strategy=strategy, ondemand_price=ondemand_price
-    )
-    grid = [decision.price] if bids is None else list(bids)
-    report = run_sweep(
-        futures, grid, job, strategy=strategy, start_slots=start_slots
-    )
-    return decision, report

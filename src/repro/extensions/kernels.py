@@ -1,15 +1,19 @@
-"""Batched evaluation kernels for the Section 8 extensions.
+"""Batched evaluation kernels for the Section 8 extensions that scan a grid.
 
-Every extension module used to evaluate its candidate grid with a scalar
-Python loop.  This module batches those loops over bid-grid ×
-job/trace stacks, mirroring the ``repro.sweep.kernels`` /
-``repro.mapreduce.kernels`` pattern: each kernel has a retained scalar
-``*_reference`` oracle that reproduces the original per-candidate
-arithmetic operation for operation, and the randomized equivalence suite
-(``tests/test_ext_kernels.py``) asserts bitwise equality between the two
-on every output array.  The extensions always call the vectorized
-kernels; the oracles run only where the two are compared — the tests
-and ``repro-bid bench``, which finds each pair in :data:`_EXT_KERNELS`.
+The risk, checkpointing, collective, DAG and portfolio extensions each
+evaluate a candidate grid: bid prices, checkpoint intervals × bids,
+tasks × bids, on-demand fractions × bids, or a provider's per-slot
+prices.  This module batches those scans, mirroring the
+``repro.sweep.kernels`` / ``repro.mapreduce.kernels`` pattern: each
+kernel has a retained scalar ``*_reference`` oracle that reproduces the
+per-candidate arithmetic operation for operation, and the randomized
+equivalence suite (``tests/test_ext_kernels.py``) asserts bitwise
+equality between the two on every output array.  The extensions always
+call the vectorized kernels; the oracles run only where the two are
+compared — the tests and ``repro-bid bench``, which finds each pair in
+:data:`_EXT_KERNELS`.  Lag-1 persistence and spot-block pricing value
+one bid or one job at a time, so they have no kernel here; each keeps
+its one scalar definition in its own module.
 
 The vectorized kernels reach bitwise equality by evaluating the *same*
 float64 operations in the *same* order as the scalar code, elementwise:
@@ -27,13 +31,13 @@ the mixture-fraction accumulation.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..core.distributions import PriceDistribution
 from ..core.types import JobSpec
-from ..errors import DistributionError, PlanError
+from ..errors import PlanError
 
 __all__ = [
     "risk_scan_kernel",
@@ -42,10 +46,6 @@ __all__ = [
     "deadline_scan_kernel_reference",
     "checkpoint_grid_kernel",
     "checkpoint_grid_kernel_reference",
-    "persistence_grid_kernel",
-    "persistence_grid_kernel_reference",
-    "block_grid_kernel",
-    "block_grid_kernel_reference",
     "collective_slot_kernel",
     "collective_slot_kernel_reference",
     "dag_grid_kernel",
@@ -304,196 +304,6 @@ def checkpoint_grid_kernel(
 
 
 # ----------------------------------------------------------------------
-# Correlated prices: lag-1 acceptance persistence over trace stacks
-# (correlated.lag1_price_persistence)
-# ----------------------------------------------------------------------
-
-def persistence_grid_kernel_reference(
-    prices: np.ndarray,
-    bids: np.ndarray,
-    n_valid: Optional[np.ndarray] = None,
-) -> Dict[str, np.ndarray]:
-    """Scalar oracle: :func:`repro.extensions.correlated.
-    lag1_price_persistence` applied per (trace, bid) on the valid slice
-    of each (possibly ragged, ``inf``-padded) trace row."""
-    matrix = np.asarray(prices, dtype=np.float64)
-    counts = _valid_counts(matrix, n_valid)
-    rho = np.empty((matrix.shape[0], len(bids)))
-    for t in range(matrix.shape[0]):
-        arr = matrix[t, : counts[t]]
-        for j, bid in enumerate(bids):
-            accepted = arr <= float(bid)
-            prior = accepted[:-1]
-            if not prior.any():
-                rho[t, j] = 0.0
-            else:
-                rho[t, j] = float(np.mean(accepted[1:][prior]))
-    return {"rho": rho}
-
-
-def persistence_grid_kernel(
-    prices: np.ndarray,
-    bids: np.ndarray,
-    n_valid: Optional[np.ndarray] = None,
-) -> Dict[str, np.ndarray]:
-    """Vectorized persistence grid: per bid level, one boolean matrix
-    pass counts joint and prior acceptances across all traces at once.
-    Exact-integer counts divide to the same float64 the per-slice
-    ``np.mean`` produces."""
-    matrix = np.asarray(prices, dtype=np.float64)
-    counts = _valid_counts(matrix, n_valid)
-    n_traces, n_slots = matrix.shape
-    cols = np.arange(n_slots - 1)
-    prior_mask = cols[None, :] < (counts[:, None] - 1)
-    rho = np.empty((n_traces, len(bids)))
-    for j, bid in enumerate(bids):
-        acc = matrix <= float(bid)
-        prior = acc[:, :-1] & prior_mask
-        joint = (prior & acc[:, 1:]).sum(axis=1)
-        prior_count = prior.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = joint / prior_count
-        rho[:, j] = np.where(prior_count > 0, ratio, 0.0)
-    return {"rho": rho}
-
-
-def _valid_counts(
-    matrix: np.ndarray, n_valid: Optional[np.ndarray]
-) -> np.ndarray:
-    if matrix.ndim != 2:
-        raise DistributionError("need a 2-D (trace, slot) price matrix")
-    if n_valid is None:
-        counts = np.full(matrix.shape[0], matrix.shape[1], dtype=np.int64)
-    else:
-        counts = np.asarray(n_valid, dtype=np.int64)
-    if counts.shape != (matrix.shape[0],) or (counts > matrix.shape[1]).any():
-        raise DistributionError("n_valid must give one count <= n_slots per trace")
-    if (counts < 2).any():
-        raise DistributionError("need a 1-D series with at least two prices")
-    return counts
-
-
-# ----------------------------------------------------------------------
-# Spot blocks: block pricing over a job grid (spot_blocks.block_price /
-# compare_purchasing_options)
-# ----------------------------------------------------------------------
-
-def _validate_block_inputs(
-    ondemand_price: float, durations: Sequence[float]
-) -> None:
-    if ondemand_price <= 0:
-        raise PlanError(f"ondemand_price must be positive, got {ondemand_price!r}")
-    if len(durations) == 0:
-        raise PlanError("need at least one block duration")
-    for d in durations:
-        if d <= 0:
-            raise PlanError(f"duration must be positive, got {d!r}")
-
-
-def _block_price_scalar(
-    mean_spot: float,
-    ondemand_price: float,
-    duration: float,
-    base_premium: float,
-    premium_per_hour: float,
-) -> float:
-    premium_fraction = min(1.0, base_premium + premium_per_hour * duration)
-    return min(
-        ondemand_price,
-        mean_spot + premium_fraction * (ondemand_price - mean_spot),
-    )
-
-
-def block_grid_kernel_reference(
-    mean_spot: float,
-    ondemand_price: float,
-    durations: Sequence[float],
-    execution_times: np.ndarray,
-    *,
-    base_premium: float = 0.05,
-    premium_per_hour: float = 0.02,
-) -> Dict[str, np.ndarray]:
-    """Scalar oracle: per execution time, the chained spot-block cost and
-    effective hourly price — the covering/chaining rule of
-    :func:`repro.extensions.spot_blocks.compare_purchasing_options`."""
-    _validate_block_inputs(ondemand_price, durations)
-    durations = [float(d) for d in durations]
-    n = len(execution_times)
-    cost = np.empty(n)
-    price = np.empty(n)
-    for k, t in enumerate(execution_times):
-        t = float(t)
-        covering = [d for d in durations if d >= t]
-        if covering:
-            duration = min(covering)
-            pr = _block_price_scalar(
-                mean_spot, ondemand_price, duration, base_premium, premium_per_hour
-            )
-            c = pr * t
-        else:
-            longest = max(durations)
-            n_full, remainder = divmod(t, longest)
-            c = n_full * longest * _block_price_scalar(
-                mean_spot, ondemand_price, longest, base_premium, premium_per_hour
-            )
-            if remainder > 1e-12:
-                covering = [d for d in durations if d >= remainder]
-                tail = min(covering) if covering else longest
-                c += remainder * _block_price_scalar(
-                    mean_spot, ondemand_price, tail, base_premium, premium_per_hour
-                )
-            pr = c / t
-        cost[k] = c
-        price[k] = pr
-    return {"cost": cost, "price": price}
-
-
-def block_grid_kernel(
-    mean_spot: float,
-    ondemand_price: float,
-    durations: Sequence[float],
-    execution_times: np.ndarray,
-    *,
-    base_premium: float = 0.05,
-    premium_per_hour: float = 0.02,
-) -> Dict[str, np.ndarray]:
-    """Vectorized block grid: all duration premiums priced in one pass,
-    covering durations found by ``searchsorted``.  Only the (rare) rows
-    requiring block chaining keep the scalar ``divmod``, whose numpy
-    counterpart is not guaranteed bit-identical."""
-    _validate_block_inputs(ondemand_price, durations)
-    d = np.sort(np.asarray(durations, dtype=np.float64))
-    t = np.asarray(execution_times, dtype=np.float64)
-    bp = np.minimum(
-        ondemand_price,
-        mean_spot
-        + np.minimum(1.0, base_premium + premium_per_hour * d)
-        * (ondemand_price - mean_spot),
-    )
-    idx = np.searchsorted(d, t, side="left")
-    covered = idx < d.size
-    cost = np.empty_like(t)
-    price = np.empty_like(t)
-    safe_idx = np.where(covered, idx, 0)
-    covering_price = bp[safe_idx]
-    price[covered] = covering_price[covered]
-    cost[covered] = (covering_price * t)[covered]
-    longest = float(d[-1])
-    longest_price = float(bp[-1])
-    for k in np.nonzero(~covered)[0]:
-        tv = float(t[k])
-        n_full, remainder = divmod(tv, longest)
-        c = n_full * longest * longest_price
-        if remainder > 1e-12:
-            j = int(np.searchsorted(d, remainder, side="left"))
-            tail_price = float(bp[j]) if j < d.size else longest_price
-            c += remainder * tail_price
-        cost[k] = c
-        price[k] = c / tv
-    return {"cost": cost, "price": price}
-
-
-# ----------------------------------------------------------------------
 # Collective bidding: per-slot provider price optimization
 # (collective._simulate_prices)
 # ----------------------------------------------------------------------
@@ -510,8 +320,9 @@ def collective_slot_kernel_reference(
     pi_min: float,
 ) -> Dict[str, np.ndarray]:
     """Scalar oracle: the provider's per-slot objective and accepted
-    fraction at every candidate price, exactly as the original
-    ``_accepted_fraction`` inner loop computed them."""
+    fraction at every candidate price — the fraction of submitted bids
+    at or above the price under the mixture of strategic atoms and a
+    uniform background (Section 4.1's f_p), one candidate at a time."""
     n = len(candidates)
     objective = np.empty(n)
     fraction = np.empty(n)
@@ -744,8 +555,6 @@ _EXT_KERNELS: Dict[str, Tuple[Callable[..., dict], Callable[..., dict]]] = {
     "risk_scan": (risk_scan_kernel, risk_scan_kernel_reference),
     "deadline_scan": (deadline_scan_kernel, deadline_scan_kernel_reference),
     "checkpoint_grid": (checkpoint_grid_kernel, checkpoint_grid_kernel_reference),
-    "persistence_grid": (persistence_grid_kernel, persistence_grid_kernel_reference),
-    "block_grid": (block_grid_kernel, block_grid_kernel_reference),
     "collective_slot": (collective_slot_kernel, collective_slot_kernel_reference),
     "dag_grid": (dag_grid_kernel, dag_grid_kernel_reference),
     "portfolio_grid": (portfolio_grid_kernel, portfolio_grid_kernel_reference),

@@ -23,22 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-import numpy as np
-
-from ..core import costs
 from ..core.distributions import PriceDistribution
 from ..core.onetime import optimal_onetime_bid
 from ..core.persistent import optimal_persistent_bid
 from ..core.types import JobSpec
 from ..errors import InfeasibleBidError, PlanError
-from .kernels import block_grid_kernel
 
 __all__ = [
     "PurchasingOption",
     "block_price",
-    "block_cost_grid",
     "compare_purchasing_options",
 ]
 
@@ -62,42 +57,15 @@ def block_price(
     from price spikes).  Defaults land blocks at roughly 25–45% of
     on-demand for the catalog markets, matching the historical product.
     """
-    if duration <= 0:
+    if not duration > 0:
         raise PlanError(f"duration must be positive, got {duration!r}")
-    if ondemand_price <= 0:
+    if not ondemand_price > 0:
         raise PlanError(f"ondemand_price must be positive, got {ondemand_price!r}")
     mean_spot = dist.mean()
     premium_fraction = min(1.0, base_premium + premium_per_hour * duration)
     return min(
         ondemand_price,
         mean_spot + premium_fraction * (ondemand_price - mean_spot),
-    )
-
-
-def block_cost_grid(
-    dist: PriceDistribution,
-    ondemand_price: float,
-    execution_times: Sequence[float],
-    *,
-    block_durations: Optional[Sequence[float]] = None,
-    base_premium: float = 0.05,
-    premium_per_hour: float = 0.02,
-) -> Dict[str, np.ndarray]:
-    """Spot-block cost and effective hourly price for a grid of jobs.
-
-    Batches the covering/chaining rule of
-    :func:`compare_purchasing_options` over many execution times in one
-    :func:`~repro.extensions.kernels.block_grid_kernel` call.  Returns
-    ``{"cost", "price"}`` arrays aligned with ``execution_times``.
-    """
-    durations = list(block_durations or BLOCK_DURATIONS)
-    return block_grid_kernel(
-        dist.mean(),
-        ondemand_price,
-        durations,
-        np.asarray(execution_times, dtype=float),
-        base_premium=base_premium,
-        premium_per_hour=premium_per_hour,
     )
 
 
@@ -144,9 +112,12 @@ def compare_purchasing_options(
     shortest offered duration covering the execution time; jobs longer
     than the longest block fall back to chaining blocks end to end.
     """
-    if ondemand_price <= 0:
+    if not ondemand_price > 0:
         raise PlanError(f"ondemand_price must be positive, got {ondemand_price!r}")
-    durations = list(block_durations or BLOCK_DURATIONS)
+    durations = sorted(block_durations or BLOCK_DURATIONS)
+    for duration in durations:
+        if not duration > 0:
+            raise PlanError(f"duration must be positive, got {duration!r}")
     options: List[PurchasingOption] = [
         PurchasingOption(
             name="on-demand",
@@ -189,21 +160,29 @@ def compare_purchasing_options(
     except InfeasibleBidError:
         pass
 
-    # Spot block: shortest single block covering t_s, else chained max
-    # blocks (each chain link re-priced; still guaranteed end to end).
-    # Priced through the batched block_grid kernel.
-    grid = block_cost_grid(
-        dist, ondemand_price, [job.execution_time], block_durations=durations
-    )
-    cost = float(grid["cost"][0])
-    price = float(grid["price"][0])
+    # Spot block: shortest single block covering t_s, else chained
+    # longest blocks with the remainder on the shortest block covering
+    # it (each chain link re-priced; still guaranteed end to end).
+    t_s = job.execution_time
+    covering = [d for d in durations if d >= t_s]
+    if covering:
+        price = block_price(dist, ondemand_price, covering[0])
+        cost = price * t_s
+    else:
+        longest = durations[-1]
+        n_full, remainder = divmod(t_s, longest)
+        cost = n_full * longest * block_price(dist, ondemand_price, longest)
+        if remainder > 1e-12:
+            tail = next(d for d in durations if d >= remainder)
+            cost += remainder * block_price(dist, ondemand_price, tail)
+        price = cost / t_s
     options.append(
         PurchasingOption(
             name="spot-block",
-            expected_cost=cost,
+            expected_cost=float(cost),
             expected_completion_time=job.execution_time,
             completion_probability=1.0,
-            price=price,
+            price=float(price),
         )
     )
     return sorted(options, key=lambda o: o.expected_cost)

@@ -299,12 +299,27 @@ class FaultInjector:
 
     # -- recorded traces --------------------------------------------------
     def perturb_prices(self, prices: np.ndarray) -> np.ndarray:
-        """Apply every spec in sequence to a 1-D price array."""
+        """Apply every spec in sequence to a 1-D price array.
+
+        The prices must be finite and non-negative, and so are the
+        perturbed ones: a spec that overflows a price (overlapping
+        spikes compound their multipliers) raises :class:`FaultError`
+        naming the spec and the first non-finite slot.
+        """
         out = np.asarray(prices, dtype=float)
         if out.ndim != 1 or out.size == 0:
             raise FaultError("prices must be a non-empty 1-D array")
+        if not np.all(np.isfinite(out)) or np.any(out < 0):
+            raise FaultError("prices must all be finite and non-negative")
         for i, spec in enumerate(self.specs):
-            out = spec.plan(self.spec_rng(i), out.size).apply(out)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = spec.plan(self.spec_rng(i), out.size).apply(out)
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                raise FaultError(
+                    f"fault spec {i} ({spec.kind}) made the price at slot "
+                    f"{int(bad[0])} non-finite"
+                )
         return out
 
     def perturb_history(self, history: SpotPriceHistory) -> SpotPriceHistory:

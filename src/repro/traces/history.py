@@ -9,6 +9,7 @@ the replayable price source for the market simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -51,10 +52,14 @@ class SpotPriceHistory:
             raise TraceError("prices must all be finite")
         if np.any(arr < 0):
             raise TraceError("prices must be non-negative")
-        if not self.slot_length > 0:
-            raise TraceError(f"slot_length must be positive, got {self.slot_length!r}")
-        if self.start_hour < 0:
-            raise TraceError(f"start_hour must be non-negative, got {self.start_hour!r}")
+        if not (self.slot_length > 0 and math.isfinite(self.slot_length)):
+            raise TraceError(
+                f"slot_length must be positive and finite, got {self.slot_length!r}"
+            )
+        if not (self.start_hour >= 0 and math.isfinite(self.start_hour)):
+            raise TraceError(
+                f"start_hour must be non-negative and finite, got {self.start_hour!r}"
+            )
         object.__setattr__(self, "prices", arr)
 
     # -- basic shape -----------------------------------------------------

@@ -61,6 +61,14 @@ class TestLag1Persistence:
         prices = np.asarray([0.09] * 10)
         assert lag1_price_persistence(prices, bid=0.05) == 0.0
 
+    def test_always_accepted(self):
+        prices = np.asarray([0.03, 0.04, 0.05] * 4)
+        assert lag1_price_persistence(prices, bid=0.05) == 1.0
+
+    def test_single_price_rejected(self):
+        with pytest.raises(DistributionError, match="at least two"):
+            lag1_price_persistence(np.asarray([0.03]), bid=0.05)
+
 
 class TestMarkovInterruptions:
     def test_rho_zero_recovers_eq12(self, empirical_dist, hour_job):

@@ -4,9 +4,8 @@ Same contract as ``tests/test_sweep_kernels_equivalence.py``: every
 vectorized kernel in :mod:`repro.extensions.kernels` must be *bitwise*
 equal to its retained ``*_reference`` oracle on every output array —
 including ``inf`` placement for infeasible cells — across seeded
-randomized workloads, ragged ``inf``-padded trace stacks, and degenerate
-grids.  The RB201 kernel-parity rule requires this file to reference
-each kernel/oracle pair by name.
+randomized workloads and degenerate grids.  The RB201 kernel-parity
+rule requires this file to reference each kernel/oracle pair by name.
 """
 
 import math
@@ -16,11 +15,9 @@ import pytest
 
 from repro.core.distributions import EmpiricalPriceDistribution
 from repro.core.types import JobSpec
-from repro.errors import DistributionError, PlanError
+from repro.errors import PlanError
 from repro.extensions.kernels import (
     _EXT_KERNELS,
-    block_grid_kernel,
-    block_grid_kernel_reference,
     checkpoint_grid_kernel,
     checkpoint_grid_kernel_reference,
     collective_slot_kernel,
@@ -30,8 +27,6 @@ from repro.extensions.kernels import (
     deadline_scan_kernel,
     deadline_scan_kernel_reference,
     extension_kernel_pair,
-    persistence_grid_kernel,
-    persistence_grid_kernel_reference,
     portfolio_grid_kernel,
     portfolio_grid_kernel_reference,
     risk_scan_kernel,
@@ -188,89 +183,6 @@ class TestGridKernels:
             out = kernel(dist, cand, [])
             assert_bitwise(out, ref(dist, cand, []))
             assert out["cost"].shape == (0, 2)
-
-
-class TestPersistenceGrid:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_ragged_stacks_match_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(30):
-            n_traces = int(rng.integers(1, 8))
-            n_slots = int(rng.integers(2, 150))
-            prices = rng.uniform(0.01, 1.0, size=(n_traces, n_slots))
-            n_valid = rng.integers(2, n_slots + 1, size=n_traces).astype(np.int64)
-            for t in range(n_traces):
-                if rng.random() < 0.5:
-                    prices[t, n_valid[t]:] = np.inf  # honest padding
-                # else: stale garbage past n_valid must be invisible
-            bids = np.sort(rng.uniform(0.0, 1.1, size=int(rng.integers(1, 12))))
-            if rng.random() < 0.5:
-                bids[0] = prices[0, 0]  # boundary tie
-            use_n_valid = rng.random() < 0.7
-            counts = n_valid if use_n_valid else None
-            assert_bitwise(
-                persistence_grid_kernel(prices, bids, counts),
-                persistence_grid_kernel_reference(prices, bids, counts),
-            )
-
-    def test_no_prior_acceptance_is_zero_not_nan(self):
-        prices = np.array([[0.5, 0.5, 0.5]])
-        bids = np.array([0.1, 0.5])
-        out = persistence_grid_kernel(prices, bids)
-        ref = persistence_grid_kernel_reference(prices, bids)
-        assert_bitwise(out, ref)
-        assert out["rho"][0, 0] == 0.0  # nothing ever accepted
-        assert out["rho"][0, 1] == 1.0  # everything accepted
-
-    def test_zero_length_bid_grid(self):
-        prices = np.array([[0.1, 0.2, 0.3]])
-        out = persistence_grid_kernel(prices, np.array([]))
-        assert_bitwise(out, persistence_grid_kernel_reference(prices, np.array([])))
-        assert out["rho"].shape == (1, 0)
-
-    def test_degenerate_inputs_rejected_in_both_lanes(self):
-        bids = np.array([0.5])
-        for fn in (persistence_grid_kernel, persistence_grid_kernel_reference):
-            with pytest.raises(DistributionError, match="2-D"):
-                fn(np.array([0.1, 0.2]), bids)
-            with pytest.raises(DistributionError, match="at least two"):
-                fn(np.array([[0.1]]), bids)
-            with pytest.raises(DistributionError, match="n_valid"):
-                fn(np.ones((2, 4)), bids, np.array([3, 9]))
-
-
-class TestBlockGrid:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_block_grid_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(30):
-            mean_spot = float(rng.uniform(0.01, 0.5))
-            ondemand = mean_spot * float(rng.uniform(1.5, 10.0))
-            n_dur = int(rng.integers(1, 6))
-            durations = sorted(rng.uniform(0.5, 8.0, size=n_dur).tolist())
-            # execution times both inside and far beyond the longest block
-            times = rng.uniform(0.1, 3.0 * max(durations), size=int(rng.integers(1, 50)))
-            assert_bitwise(
-                block_grid_kernel(mean_spot, ondemand, durations, times),
-                block_grid_kernel_reference(mean_spot, ondemand, durations, times),
-            )
-
-    def test_chained_blocks_exceeding_longest_duration(self):
-        times = np.array([10.0, 10.5, 23.999999])
-        out = block_grid_kernel(0.05, 0.3, [1.0, 6.0], times)
-        ref = block_grid_kernel_reference(0.05, 0.3, [1.0, 6.0], times)
-        assert_bitwise(out, ref)
-        assert (out["price"] <= 0.3).all()
-
-    def test_invalid_inputs_rejected_in_both_lanes(self):
-        times = np.array([1.0])
-        for fn in (block_grid_kernel, block_grid_kernel_reference):
-            with pytest.raises(PlanError, match="ondemand_price"):
-                fn(0.05, 0.0, [1.0], times)
-            with pytest.raises(PlanError, match="duration"):
-                fn(0.05, 0.3, [], times)
-            with pytest.raises(PlanError, match="duration"):
-                fn(0.05, 0.3, [1.0, -2.0], times)
 
 
 class TestCollectiveSlot:

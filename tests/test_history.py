@@ -46,6 +46,21 @@ class TestBasics:
         with pytest.raises(TraceError):
             SpotPriceHistory(prices=np.asarray([0.1]), slot_length=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("slot_length", math.inf),
+            ("slot_length", math.nan),
+            ("start_hour", math.nan),
+            ("start_hour", math.inf),
+            ("start_hour", -math.inf),
+            ("start_hour", -1.0),
+        ],
+    )
+    def test_bad_slot_length_or_start_hour_rejected(self, field, value):
+        with pytest.raises(TraceError, match=field):
+            SpotPriceHistory(prices=np.asarray([0.03, 0.04]), **{field: value})
+
 
 class TestSlicing:
     def test_slice_slots_shifts_start(self, history):

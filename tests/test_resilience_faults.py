@@ -1,5 +1,8 @@
 """Fault injection: specs, plans, injectors, and the perturbed-trace contract."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +164,21 @@ class TestFaultInjector:
             injector.perturb_prices(np.ones((2, 2)))
         with pytest.raises(FaultError):
             injector.perturb_prices(np.array([]))
+        for bad in (math.nan, math.inf, -0.01):
+            with pytest.raises(FaultError, match="finite and non-negative"):
+                injector.perturb_prices(np.array([0.03, bad, 0.05]))
+
+    def test_overflowing_spike_names_the_spec(self):
+        # Overlapping 1e200 spikes compound past the float64 range; the
+        # error names the spec, and no numpy RuntimeWarning comes first.
+        spike = PriceSpike(rate=1.0, magnitude=1e200, width=2)
+        injector = FaultInjector([SlotDuplication(rate=0.0), spike], seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                FaultError, match=r"fault spec 1 \(price-spike\).* slot 1 "
+            ):
+                injector.perturb_prices(np.array([0.0, 0.04, 0.05]))
 
 
 _rates = st.floats(0.0, 1.0)
@@ -211,8 +229,6 @@ class TestPerturbHistoryContract:
         seed=st.integers(-(2**70), 2**70),
         trace=_traces,
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_returns_a_valid_trace_or_raises_a_repro_error(
         self, specs, seed, trace
     ):

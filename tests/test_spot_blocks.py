@@ -34,6 +34,10 @@ class TestBlockPrice:
             block_price(r3_model, 0.35, 0.0)
         with pytest.raises(PlanError):
             block_price(r3_model, 0.0, 1.0)
+        with pytest.raises(PlanError, match="duration"):
+            block_price(r3_model, 0.35, math.nan)
+        with pytest.raises(PlanError, match="ondemand_price"):
+            block_price(r3_model, math.nan, 1.0)
 
 
 class TestComparison:
@@ -89,5 +93,38 @@ class TestComparison:
         assert p_long < p_short
 
     def test_validation(self, r3_model, hour_job):
-        with pytest.raises(PlanError):
-            compare_purchasing_options(r3_model, hour_job, 0.0)
+        for ondemand in (0.0, math.nan):
+            with pytest.raises(PlanError, match="ondemand_price"):
+                compare_purchasing_options(r3_model, hour_job, ondemand)
+        # The 1 h block covers the job, so -2 h is never priced; it is
+        # rejected all the same, and so is a NaN duration.
+        for durations in ([1.0, -2.0], [1.0, math.nan]):
+            with pytest.raises(PlanError, match="duration"):
+                compare_purchasing_options(
+                    r3_model, hour_job, 0.35, block_durations=durations
+                )
+
+    @pytest.mark.parametrize(
+        "hours, expected_cost, price",
+        [
+            # one 1 h block
+            (1.0, "0x1.c6eb5d673f368p-5", "0x1.c6eb5d673f368p-5"),
+            # exactly one 6 h block
+            (6.0, "0x1.0bdd3911018b0p-1", "0x1.6526f6c157640p-4"),
+            # two chained 6 h blocks and a 1 h block for the remainder
+            (13.0, "0x1.1a1493fc3b84bp+0", "0x1.5b2d04e7abb70p-4"),
+            # two chained 6 h blocks and a 2 h block for the remainder
+            (14.0, "0x1.2b89f71b007d0p+0", "0x1.5654881edbfc9p-4"),
+        ],
+        ids=["1h", "6h", "13h", "14h"],
+    )
+    def test_block_pricing_is_pinned(self, r3_model, hours, expected_cost, price):
+        # Bit patterns (float.hex) of the spot-block option: the
+        # covering/chaining rule has no second definition to compare it
+        # against, so its values are pinned.
+        job = JobSpec(execution_time=hours, recovery_time=seconds(30))
+        block = {
+            o.name: o for o in compare_purchasing_options(r3_model, job, 0.35)
+        }["spot-block"]
+        assert block.expected_cost.hex() == expected_cost
+        assert block.price.hex() == price
